@@ -2,7 +2,7 @@
 //
 // Stands up the production stack — flash array, stripe manager,
 // differentiated-redundancy data plane, OSD target — behind the epoll
-// OsdServer, and serves the OSD wire protocol over TCP until SIGTERM /
+// ShardedServer, and serves the OSD wire protocol over TCP until SIGTERM /
 // SIGINT, which triggers a graceful drain (stop accepting, finish
 // in-flight requests, flush, exit). Examples:
 //
@@ -12,15 +12,19 @@
 //   reo_server --port 9555 --data-dir /var/lib/reo     # durable, restartable
 //   reo_server --port 9555 --shards 4                  # multi-threaded
 //
-// With --shards N > 1 the object space is hash-partitioned across N
-// independent serving stacks, each on its own event-loop thread with its
-// own flash array, cache state, and (under --data-dir) its own journal
-// in data-dir/shardK. One listening port serves all of them; commands
-// landing on the "wrong" shard's connection are forwarded between loops
-// (see src/shard/sharded_server.h). --shards 1 (the default) uses the
-// original single-threaded OsdServer path, byte-for-byte unchanged.
+// The object space is hash-partitioned across --shards N independent
+// serving stacks, each on its own event-loop thread with its own flash
+// array and cache state. One acceptor thread owns the listening port;
+// commands landing on the "wrong" shard's connection are forwarded
+// between loops (see src/shard/sharded_server.h). With --shards 1 (the
+// default) there is one stack and nothing is forwarded. Under --data-dir
+// a single shard journals in the directory itself, and shard K of N > 1
+// in data-dir/shardK.
 #include <signal.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,7 +44,6 @@
 #include "osd/osd_target.h"
 #include "persist/persistence.h"
 #include "persist/restore.h"
-#include "server/osd_server.h"
 #include "shard/sharded_server.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
@@ -51,13 +54,11 @@ using namespace reo;
 
 namespace {
 
-OsdServer* g_server = nullptr;
-ShardedServer* g_sharded = nullptr;
+ShardedServer* g_server = nullptr;
 
 void HandleShutdownSignal(int) {
   // RequestDrain is async-signal-safe: a flag store plus an eventfd write.
   if (g_server != nullptr) g_server->RequestDrain();
-  if (g_sharded != nullptr) g_sharded->RequestDrain();
 }
 
 void Usage(const char* argv0) {
@@ -70,17 +71,18 @@ void Usage(const char* argv0) {
       "                       directory (owner hints, ADMIN OWNERS, node_id\n"
       "                       in HEALTH) for multi-node deployments\n"
       "                       (default: single-node, no directory)\n"
-      "  --shards N           serving shards (threads); the object space is\n"
+      "  --shards N           serving shards, one event-loop thread each, behind\n"
+      "                       one acceptor thread; the object space is\n"
       "                       hash-partitioned across N independent stacks\n"
-      "                       (default 1: the single-threaded server).\n"
+      "                       (default 1: one stack, nothing forwarded).\n"
       "                       Capacity and DRAM budgets are split evenly;\n"
       "                       --devices is per shard; per-stage tracing is\n"
       "                       only available with 1 shard\n"
       "  --policy reo|0-parity|1-parity|2-parity|full-repl   (default reo)\n"
       "  --reserve F          Reo redundancy reserve fraction (default 0.2)\n"
-      "  --devices N          flash devices (default 5)\n"
+      "  --devices N          flash devices per shard, >= 1 (default 5)\n"
       "  --capacity-mb N      cache capacity budget in MiB (default 256)\n"
-      "  --chunk-kb N         chunk size in KiB (default 64)\n"
+      "  --chunk-kb N         chunk size in KiB, >= 1 (default 64)\n"
       "  --scale-shift N      physical payload scale (default 0: full bytes)\n"
       "  --max-connections N  concurrent connection cap (default 1024)\n"
       "  --idle-timeout-ms N  close idle connections (default 60000)\n"
@@ -91,7 +93,8 @@ void Usage(const char* argv0) {
       "                       STATS/SERIES admin data (default on; off\n"
       "                       leaves only HEALTH/EVENTS answering)\n"
       "  --trace-sample N     trace 1 in N requests into the per-stage\n"
-      "                       latency histograms; 0 disables (default 64)\n"
+      "                       latency histograms; 0 disables (default 64).\n"
+      "                       Ignored with --shards N > 1\n"
       "  --series-window-ms N time-series window width (default 1000)\n"
       "  --series-windows N   closed windows retained (default 300)\n"
       "  --data-dir PATH      durable cache state: data log + journal +\n"
@@ -116,8 +119,7 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-/// One shard's full serving stack. With --shards 1 there is exactly one
-/// of these and it sits behind the classic OsdServer.
+/// One shard's full serving stack.
 struct ShardStack {
   std::unique_ptr<FlashArray> array;
   std::unique_ptr<StripeManager> stripes;
@@ -134,7 +136,7 @@ struct ShardStack {
 }  // namespace
 
 int main(int argc, char** argv) {
-  OsdServerConfig server_cfg;
+  ShardedServerConfig server_cfg;
   PolicyConfig policy{.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
   size_t num_shards = 1;
   size_t num_devices = 5;
@@ -160,18 +162,36 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The next value as a decimal integer in [min, max]; anything else
+    // is a usage error (exit 2), never a failed check deeper in.
+    auto number = [&](uint64_t min = 0,
+                      uint64_t max = UINT64_MAX) -> uint64_t {
+      const char* flag = argv[i];
+      const char* text = next();
+      char* end = nullptr;
+      errno = 0;
+      unsigned long long v = std::strtoull(text, &end, 10);
+      if (errno != 0 || end == text || *end != '\0' || text[0] == '-' ||
+          v < min || v > max) {
+        std::fprintf(stderr, "%s wants an integer in [%llu, %llu], got '%s'\n",
+                     flag, static_cast<unsigned long long>(min),
+                     static_cast<unsigned long long>(max), text);
+        Usage(argv[0]);
+        std::exit(2);
+      }
+      return v;
+    };
     if (!std::strcmp(argv[i], "--bind")) {
       server_cfg.bind_address = next();
     } else if (!std::strcmp(argv[i], "--port")) {
-      server_cfg.port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+      server_cfg.port = static_cast<uint16_t>(number(0, UINT16_MAX));
     } else if (!std::strcmp(argv[i], "--port-file")) {
       port_file = next();
     } else if (!std::strcmp(argv[i], "--node-id")) {
-      node_id = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      node_id = static_cast<uint32_t>(number(0, UINT32_MAX));
       cluster_on = true;
     } else if (!std::strcmp(argv[i], "--shards")) {
-      num_shards = std::strtoull(next(), nullptr, 10);
-      if (num_shards == 0) num_shards = 1;
+      num_shards = std::max<uint64_t>(number(), 1);
     } else if (!std::strcmp(argv[i], "--policy")) {
       std::string p = next();
       if (p == "reo") policy.mode = ProtectionMode::kReo;
@@ -186,17 +206,17 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--reserve")) {
       policy.reo_reserve_fraction = std::atof(next());
     } else if (!std::strcmp(argv[i], "--devices")) {
-      num_devices = std::strtoull(next(), nullptr, 10);
+      num_devices = number(1);
     } else if (!std::strcmp(argv[i], "--capacity-mb")) {
-      capacity_bytes = std::strtoull(next(), nullptr, 10) << 20;
+      capacity_bytes = number(0, UINT64_MAX >> 20) << 20;
     } else if (!std::strcmp(argv[i], "--chunk-kb")) {
-      chunk_bytes = std::strtoull(next(), nullptr, 10) * 1024;
+      chunk_bytes = number(1, UINT64_MAX / 1024) * 1024;
     } else if (!std::strcmp(argv[i], "--scale-shift")) {
-      scale_shift = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      scale_shift = static_cast<uint32_t>(number(0, 63));
     } else if (!std::strcmp(argv[i], "--max-connections")) {
-      server_cfg.max_connections = std::strtoull(next(), nullptr, 10);
+      server_cfg.max_connections = number();
     } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
-      server_cfg.idle_timeout_ms = std::strtoull(next(), nullptr, 10);
+      server_cfg.idle_timeout_ms = number();
     } else if (!std::strcmp(argv[i], "--stats-out")) {
       stats_out = next();
     } else if (!std::strcmp(argv[i], "--events-out")) {
@@ -210,22 +230,19 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--trace-sample")) {
-      trace_sample = std::strtoull(next(), nullptr, 10);
+      trace_sample = number();
     } else if (!std::strcmp(argv[i], "--series-window-ms")) {
-      series_window_ms = std::strtoull(next(), nullptr, 10);
-      if (series_window_ms == 0) series_window_ms = 1;
+      series_window_ms = std::max<uint64_t>(number(), 1);
     } else if (!std::strcmp(argv[i], "--series-windows")) {
-      series_windows = std::strtoull(next(), nullptr, 10);
-      if (series_windows == 0) series_windows = 1;
+      series_windows = std::max<uint64_t>(number(), 1);
     } else if (!std::strcmp(argv[i], "--data-dir")) {
       persist_cfg.data_dir = next();
     } else if (!std::strcmp(argv[i], "--fsync-batch")) {
-      persist_cfg.fsync_batch_records = std::strtoull(next(), nullptr, 10);
+      persist_cfg.fsync_batch_records = number();
     } else if (!std::strcmp(argv[i], "--checkpoint-interval")) {
-      persist_cfg.checkpoint_interval_records =
-          std::strtoull(next(), nullptr, 10);
+      persist_cfg.checkpoint_interval_records = number();
     } else if (!std::strcmp(argv[i], "--dram-mb")) {
-      admit_cfg.dram_bytes = std::strtoull(next(), nullptr, 10) * kMiB;
+      admit_cfg.dram_bytes = number(0, UINT64_MAX / kMiB) * kMiB;
     } else if (!std::strcmp(argv[i], "--admission")) {
       const char* p = next();
       if (!ParseAdmissionPolicy(p, &admit_cfg.policy)) {
@@ -233,8 +250,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--flash-write-budget")) {
-      admit_cfg.flash_write_budget_bps =
-          std::strtoull(next(), nullptr, 10) * kMiB;
+      admit_cfg.flash_write_budget_bps = number(0, UINT64_MAX / kMiB) * kMiB;
     } else if (!std::strcmp(argv[i], "--fault-spec")) {
       auto spec = LoadFaultSpecFile(next());
       if (!spec.ok()) {
@@ -253,8 +269,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Per-stage tracing assumes a single-threaded stack; with shards it
-  // would need one tracer per shard and per-shard span merge. Off for now.
+  // Tracer holds a single active context, so per-stage tracing runs only
+  // at 1 shard, where one worker thread executes every command. With
+  // shards it would need one tracer per shard and a per-shard span merge.
   bool tracing_on = telemetry_on && trace_sample > 0 && num_shards == 1;
 
   EventLog events;  // shared: thread-safe, global ticket order across shards
@@ -395,190 +412,98 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Phase-2 drain: every shard checkpoints its own journal on its own
+  // loop thread once all in-flight work everywhere completed, so restart
+  // replays a checkpoint instead of a long journal.
+  if (persist_cfg.enabled()) {
+    server_cfg.on_shard_drained = [&stacks, &events](size_t k) {
+      Status st = stacks[k].persist->Checkpoint(0);
+      if (!st.ok()) {
+        Emit(&events, 0, EventSeverity::kError, "persist.checkpoint",
+             "shutdown checkpoint failed",
+             {{"error", st.to_string()}, {"shard", std::to_string(k)}});
+      }
+    };
+  }
+  std::vector<OsdTarget*> targets;
+  std::vector<MetricRegistry*> registries;
+  std::vector<const ClusterDirectory*> dirs;
+  for (ShardStack& s : stacks) {
+    targets.push_back(s.target.get());
+    registries.push_back(s.telemetry.get());
+    if (cluster_on) dirs.push_back(s.cluster.get());
+  }
+  ShardedServer server(targets, server_cfg);
+  server.AttachEvents(events);
+  // Live observability: per-window time series over the serving metrics,
+  // plus the in-band STATS/SERIES admin plane. HEALTH and EVENTS answer
+  // even with --telemetry off (dispatch does not depend on AttachAdmin).
+  if (telemetry_on) {
+    for (size_t k = 0; k < num_shards; ++k) {
+      server.AttachShardTelemetry(k, *stacks[k].telemetry);
+    }
+    // One whole-process ring: every column sums the same-named metric
+    // across shard registries, so reo_top's ratios stay correct.
+    TrackServingDefaults(registries, series, num_devices);
+    server.AttachAdmin(registries, &series);
+  }
+  if (tracing_on) server.AttachShardTracing(0, tracer);
+  if (cluster_on) server.AttachCluster(std::move(dirs));
+  Status st = server.Listen();
+  if (!st.ok()) {
+    std::fprintf(stderr, "listen failed: %s\n", st.to_string().c_str());
+    return 1;
+  }
+  if (!port_file.empty()) {
+    Status wf =
+        WriteFileAtomic(port_file, std::to_string(server.port()) + "\n");
+    if (!wf.ok()) {
+      std::fprintf(stderr, "port file: %s\n", wf.to_string().c_str());
+      return 1;
+    }
+  }
+  std::printf("reo_server listening on %s:%u (%zu shard%s, policy %s,"
+              " %zu devices/shard, %llu MiB budget)\n",
+              server_cfg.bind_address.c_str(), server.port(), num_shards,
+              num_shards == 1 ? "" : "s",
+              std::string(to_string(policy.mode)).c_str(), num_devices,
+              static_cast<unsigned long long>(capacity_bytes >> 20));
+  if (stacks[0].admit->enabled()) {
+    std::printf("dram admission tier: %llu MiB, policy %s\n",
+                static_cast<unsigned long long>(admit_cfg.dram_bytes >> 20),
+                std::string(to_string(admit_cfg.policy)).c_str());
+  }
+  std::fflush(stdout);
+
   struct sigaction sa{};
   sa.sa_handler = HandleShutdownSignal;
+  g_server = &server;
+  sigaction(SIGTERM, &sa, nullptr);
+  sigaction(SIGINT, &sa, nullptr);
+  signal(SIGPIPE, SIG_IGN);
 
-  if (num_shards == 1) {
-    // --- Single-threaded path: the classic OsdServer, unchanged. ------
-    ShardStack& s = stacks[0];
-    if (s.persist) {
-      // Clean shutdown: checkpoint after the last in-flight request is
-      // answered, so restart replays a checkpoint instead of a long
-      // journal.
-      PersistenceManager* persist = s.persist.get();
-      server_cfg.on_drained = [persist, &events]() {
-        Status st = persist->Checkpoint(0);
-        if (!st.ok()) {
-          Emit(&events, 0, EventSeverity::kError, "persist.checkpoint",
-               "shutdown checkpoint failed", {{"error", st.to_string()}});
-        }
-      };
-    }
-    OsdServer server(*s.target, server_cfg);
-    server.AttachEvents(events);
-    // Live observability: per-window time series over the serving
-    // metrics, plus the in-band STATS/SERIES admin plane. HEALTH and
-    // EVENTS answer even with --telemetry off (dispatch does not depend
-    // on AttachAdmin).
-    if (telemetry_on) {
-      server.AttachTelemetry(*s.telemetry);
-      TrackServingDefaults(*s.telemetry, series, num_devices);
-      server.AttachAdmin(s.telemetry.get(), &series);
-    }
-    if (tracing_on) server.AttachTracing(tracer);
-    if (cluster_on) server.AttachCluster(*s.cluster);
-    Status st = server.Listen();
-    if (!st.ok()) {
-      std::fprintf(stderr, "listen failed: %s\n", st.to_string().c_str());
-      return 1;
-    }
-    if (!port_file.empty()) {
-      Status wf =
-          WriteFileAtomic(port_file, std::to_string(server.port()) + "\n");
-      if (!wf.ok()) {
-        std::fprintf(stderr, "port file: %s\n", wf.to_string().c_str());
-        return 1;
-      }
-    }
-    std::printf("reo_server listening on %s:%u (policy %s, %zu devices,"
-                " %llu MiB budget)\n",
-                server_cfg.bind_address.c_str(), server.port(),
-                std::string(to_string(policy.mode)).c_str(), num_devices,
-                static_cast<unsigned long long>(capacity_bytes >> 20));
-    if (s.admit->enabled()) {
-      std::printf("dram admission tier: %llu MiB, policy %s\n",
-                  static_cast<unsigned long long>(admit_cfg.dram_bytes >> 20),
-                  std::string(to_string(admit_cfg.policy)).c_str());
-    }
-    std::fflush(stdout);
+  server.Run();
+  g_server = nullptr;
 
-    g_server = &server;
-    sigaction(SIGTERM, &sa, nullptr);
-    sigaction(SIGINT, &sa, nullptr);
-    signal(SIGPIPE, SIG_IGN);
-
-    server.Run();
-    g_server = nullptr;
-
-    const OsdServerStats& st2 = server.stats();
-    std::printf("drained: %llu connections served, %llu requests,"
-                " %llu bytes in / %llu out\n",
-                static_cast<unsigned long long>(st2.accepted),
-                static_cast<unsigned long long>(st2.requests),
-                static_cast<unsigned long long>(st2.bytes_in),
-                static_cast<unsigned long long>(st2.bytes_out));
-    std::printf("wire errors: %llu frame, %llu crc, %llu decode\n",
-                static_cast<unsigned long long>(st2.frame_errors),
-                static_cast<unsigned long long>(st2.crc_errors),
-                static_cast<unsigned long long>(st2.decode_errors));
-  } else {
-    // --- Sharded path: N loops behind one port. -----------------------
-    ShardedServerConfig shard_cfg;
-    shard_cfg.bind_address = server_cfg.bind_address;
-    shard_cfg.port = server_cfg.port;
-    shard_cfg.backlog = server_cfg.backlog;
-    shard_cfg.max_connections = server_cfg.max_connections;
-    shard_cfg.idle_timeout_ms = server_cfg.idle_timeout_ms;
-    shard_cfg.drain_timeout_ms = server_cfg.drain_timeout_ms;
-    shard_cfg.connection = server_cfg.connection;
-    if (persist_cfg.enabled()) {
-      // Phase-2 drain: every shard checkpoints its own journal on its
-      // own loop thread once all in-flight work everywhere completed.
-      shard_cfg.on_shard_drained = [&stacks, &events](size_t k) {
-        Status st = stacks[k].persist->Checkpoint(0);
-        if (!st.ok()) {
-          Emit(&events, 0, EventSeverity::kError, "persist.checkpoint",
-               "shutdown checkpoint failed",
-               {{"error", st.to_string()}, {"shard", std::to_string(k)}});
-        }
-      };
-    }
-    std::vector<OsdTarget*> targets;
-    std::vector<MetricRegistry*> registries;
-    targets.reserve(num_shards);
-    registries.reserve(num_shards);
-    for (ShardStack& s : stacks) {
-      targets.push_back(s.target.get());
-      registries.push_back(s.telemetry.get());
-    }
-    ShardedServer server(targets, shard_cfg);
-    server.AttachEvents(events);
-    if (telemetry_on) {
-      for (size_t k = 0; k < num_shards; ++k) {
-        server.AttachShardTelemetry(k, *stacks[k].telemetry);
-      }
-      // One whole-process ring: every column sums the same-named metric
-      // across shard registries, so reo_top's ratios stay correct.
-      TrackServingDefaults(std::span<MetricRegistry* const>(registries),
-                           series, num_devices);
-      server.AttachAdmin(registries, &series);
-    }
-    if (cluster_on) {
-      std::vector<const ClusterDirectory*> dirs;
-      dirs.reserve(num_shards);
-      for (ShardStack& s : stacks) dirs.push_back(s.cluster.get());
-      server.AttachCluster(std::move(dirs));
-    }
-    Status st = server.Listen();
-    if (!st.ok()) {
-      std::fprintf(stderr, "listen failed: %s\n", st.to_string().c_str());
-      return 1;
-    }
-    if (!port_file.empty()) {
-      Status wf =
-          WriteFileAtomic(port_file, std::to_string(server.port()) + "\n");
-      if (!wf.ok()) {
-        std::fprintf(stderr, "port file: %s\n", wf.to_string().c_str());
-        return 1;
-      }
-    }
-    std::printf("reo_server listening on %s:%u (%zu shards, policy %s,"
-                " %zu devices/shard, %llu MiB budget)\n",
-                shard_cfg.bind_address.c_str(), server.port(), num_shards,
-                std::string(to_string(policy.mode)).c_str(), num_devices,
-                static_cast<unsigned long long>(capacity_bytes >> 20));
-    if (stacks[0].admit->enabled()) {
-      std::printf("dram admission tier: %llu MiB, policy %s\n",
-                  static_cast<unsigned long long>(admit_cfg.dram_bytes >> 20),
-                  std::string(to_string(admit_cfg.policy)).c_str());
-    }
-    std::fflush(stdout);
-
-    g_sharded = &server;
-    sigaction(SIGTERM, &sa, nullptr);
-    sigaction(SIGINT, &sa, nullptr);
-    signal(SIGPIPE, SIG_IGN);
-
-    server.Run();
-    g_sharded = nullptr;
-
-    ShardedServerStats st2 = server.stats();
-    std::printf("drained: %llu connections served, %llu requests,"
-                " %llu bytes in / %llu out\n",
-                static_cast<unsigned long long>(st2.accepted),
-                static_cast<unsigned long long>(st2.requests),
-                static_cast<unsigned long long>(st2.bytes_in),
-                static_cast<unsigned long long>(st2.bytes_out));
-    std::printf("wire errors: %llu frame, %llu crc, %llu decode;"
-                " cross-shard: %llu forwarded, %llu executed\n",
-                static_cast<unsigned long long>(st2.frame_errors),
-                static_cast<unsigned long long>(st2.crc_errors),
-                static_cast<unsigned long long>(st2.decode_errors),
-                static_cast<unsigned long long>(st2.forwarded),
-                static_cast<unsigned long long>(st2.forward_executed));
-  }
+  ShardedServerStats totals = server.stats();
+  std::printf("drained: %llu connections served, %llu requests,"
+              " %llu bytes in / %llu out\n",
+              static_cast<unsigned long long>(totals.accepted),
+              static_cast<unsigned long long>(totals.requests),
+              static_cast<unsigned long long>(totals.bytes_in),
+              static_cast<unsigned long long>(totals.bytes_out));
+  std::printf("wire errors: %llu frame, %llu crc, %llu decode;"
+              " cross-shard: %llu forwarded, %llu executed\n",
+              static_cast<unsigned long long>(totals.frame_errors),
+              static_cast<unsigned long long>(totals.crc_errors),
+              static_cast<unsigned long long>(totals.decode_errors),
+              static_cast<unsigned long long>(totals.forwarded),
+              static_cast<unsigned long long>(totals.forward_executed));
 
   if (!stats_out.empty()) {
-    std::string json;
-    if (num_shards == 1) {
-      json = stacks[0].telemetry->Snapshot().ToJson();
-    } else {
-      std::vector<const MetricRegistry*> regs;
-      regs.reserve(num_shards);
-      for (ShardStack& s : stacks) regs.push_back(s.telemetry.get());
-      json = MetricRegistry::Merged(regs).ToJson();
-    }
-    Status wf = WriteFileAtomic(stats_out, json);
+    std::vector<const MetricRegistry*> regs(registries.begin(),
+                                            registries.end());
+    Status wf = WriteFileAtomic(stats_out, MetricRegistry::Merged(regs).ToJson());
     if (!wf.ok()) {
       std::fprintf(stderr, "stats write failed: %s\n", wf.to_string().c_str());
       return 1;

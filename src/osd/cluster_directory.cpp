@@ -147,10 +147,6 @@ std::string OwnersJson(uint32_t node,
 
 }  // namespace
 
-std::string ClusterDirectory::ToJson() const {
-  return OwnersJson(local_node_, Snapshot());
-}
-
 std::string ClusterDirectory::MergedJson(
     const std::vector<const ClusterDirectory*>& parts) {
   std::vector<std::pair<ObjectId, OwnerEntry>> all;

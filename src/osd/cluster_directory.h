@@ -81,14 +81,11 @@ class ClusterDirectory {
   size_t size() const;
 
   /// {"schema":"reo.owners.v1","node":N,"entries":[{"pid":...,"oid":...,
-  ///  "class":...,"hotness":...,"owner":...,"down":...},...]} — the ADMIN
-  /// OWNERS body. Entries are sorted class-ascending then hotness-
-  /// descending so a recovery driver can stream them in refetch order.
-  std::string ToJson() const;
-
-  /// Merged "reo.owners.v1" over several directories (the sharded
-  /// server's per-shard slices of one node's hint space), in the same
-  /// class-then-hotness refetch order.
+  ///  "class":...,"hotness":...,"owner":...,"down":...},...]} over
+  /// several directories (the server's per-shard slices of one node's
+  /// hint space) — the ADMIN OWNERS body. Entries are sorted
+  /// class-ascending then hotness-descending so a recovery driver can
+  /// stream them in refetch order.
   static std::string MergedJson(
       const std::vector<const ClusterDirectory*>& parts);
 

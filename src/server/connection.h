@@ -2,8 +2,8 @@
 // reassembly, pipelined request dispatch, and a bounded write queue with
 // read backpressure.
 //
-// Lifecycle: OsdServer accepts the socket and owns the Connection; the
-// Connection registers itself with the EventLoop and calls back into its
+// Lifecycle: a ShardWorker (shard/sharded_server.cpp) adopts the accepted
+// socket and owns the Connection; the Connection registers itself with the EventLoop and calls back into its
 // ConnectionHost for every decoded frame. All entry points run on the
 // loop thread. Close is single-shot: the connection reports its reason to
 // the host exactly once, and the host destroys it (no member may be
@@ -28,7 +28,7 @@ class Connection;
 /// Outcome of dispatching one frame to the host.
 ///
 /// The synchronous shape (`deferred == false`) ships `response`
-/// immediately, preserving the original single-threaded contract. The
+/// immediately: the frame executed on the connection's own loop. The
 /// deferred shape is the cross-shard hook: the host parked the request
 /// (e.g. forwarded it to another shard's loop) and will deliver the
 /// response later via Connection::Complete() with the token the

@@ -1,12 +1,13 @@
 // Non-blocking event loop for the serving path: epoll readiness dispatch
 // plus a hashed timer wheel for idle / drain deadlines.
 //
-// Threading model (see DESIGN.md "Network serving"): ONE loop thread owns
-// every connection and the OsdTarget behind them — the target is
-// single-threaded by design, so the server stays lock-free by running all
-// socket IO and command execution on the loop. The only cross-thread
-// entry point is Wake()/Stop(), which is async-signal-safe (an eventfd
-// write) so a SIGTERM handler may call it directly.
+// Threading model (see DESIGN.md "Network serving"): each shard's loop
+// thread owns its connections and the OsdTarget behind them — the target
+// is single-threaded by design, so the server stays lock-free by running
+// all of a shard's socket IO and command execution on its loop. The
+// cross-thread entry points are Post() and Wake()/Stop(); the latter two
+// are async-signal-safe (an eventfd write) so a SIGTERM handler may call
+// them directly.
 #pragma once
 
 #include <atomic>

@@ -1,11 +1,13 @@
-// ShardedServer: N-shard multi-threaded serving over one TCP port.
+// ShardedServer: the network target — N-shard serving over one TCP port.
 //
+// Exports the OSD wire protocol (osd/transport.h encodings) over TCP.
 // The object space is hash-partitioned across N shards (ShardRouter);
 // each shard owns a full serving stack — its own epoll EventLoop thread,
 // its own OsdTarget (and everything behind it: data plane, flash array,
-// persistence journal), and its own connections. Within a shard nothing
-// changed: socket IO and command execution stay single-threaded and
-// lock-free on the shard's loop, exactly the OsdServer model.
+// persistence journal), and its own connections. Within a shard socket
+// IO and command execution stay single-threaded and lock-free on the
+// shard's loop. N = 1 is one worker: the router always picks shard 0, so
+// nothing is ever forwarded and every frame executes inline.
 //
 // Cross-shard work moves BETWEEN loops, never shares state:
 //   * An acceptor thread owns the listening socket and hands each new
@@ -60,10 +62,25 @@
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
 #include "trace/event_log.h"
+#include "trace/tracer.h"
 
 namespace reo {
 
 class ShardWorker;
+
+/// One serving counter: a relaxed atomic, so HEALTH aggregation (which
+/// runs on whichever shard answers the probe) reads it without locks or
+/// races, mirrored into a shard's registry when telemetry is attached.
+struct ServingCounter {
+  std::atomic<uint64_t> value{0};
+  Counter* tel = nullptr;
+
+  void Add(uint64_t n = 1) {
+    value.fetch_add(n, std::memory_order_relaxed);
+    Inc(tel, n);
+  }
+  uint64_t load() const { return value.load(std::memory_order_relaxed); }
+};
 
 struct ShardedServerConfig {
   std::string bind_address = "127.0.0.1";
@@ -125,13 +142,20 @@ class ShardedServer {
   /// Initiates graceful shutdown. Thread- and async-signal-safe.
   void RequestDrain();
 
-  size_t num_shards() const { return workers_.size(); }
   const ShardRouter& router() const { return router_; }
 
   /// Wires shard `shard`'s serving counters ("server.*", plus the
   /// cross-shard "server.forwarded" / "server.forward_executed") into
   /// its per-shard registry. Call before Run(), once per shard.
   void AttachShardTelemetry(size_t shard, MetricRegistry& registry);
+
+  /// Opens a sampled root span (the transport track) around every data
+  /// command shard `shard` executes at home, with the same two clock
+  /// stamps its server.latency.* histograms observe — so with
+  /// sample_every == 1 the stage.transport totals match server.latency.*
+  /// exactly. Tracer holds one active context, so attach it to one shard
+  /// only, and only when no other thread traces through it.
+  void AttachShardTracing(size_t shard, Tracer& tracer);
 
   /// Shared structured event sink (EventLog is thread-safe; events from
   /// every shard interleave in global ticket order).
@@ -156,11 +180,6 @@ class ShardedServer {
   /// returns, or concurrently — per-shard counters are relaxed atomics).
   ShardedServerStats stats() const;
 
-  /// Connections currently open, summed across shards.
-  size_t active_connections() const {
-    return active_conns_.load(std::memory_order_relaxed);
-  }
-
  private:
   friend class ShardWorker;
 
@@ -168,6 +187,12 @@ class ShardedServer {
   struct BarrierState;
 
   void OnAcceptReady();
+  /// Registers the listening socket with the acceptor loop.
+  void WatchListener();
+  /// accept4 ran out of file descriptors (`err` is EMFILE or ENFILE):
+  /// stop watching the listener — it is level-triggered, so a pending
+  /// connection would spin the acceptor — and re-watch it on a timer.
+  void PauseAccepting(int err);
   void PollDrain();
   void BeginDrainOnAcceptor();
   /// Worker -> coordinator: this shard's connection map went (and every
@@ -196,9 +221,12 @@ class ShardedServer {
   uint64_t next_conn_id_ = 1;  ///< acceptor thread only
   size_t next_shard_rr_ = 0;   ///< acceptor thread only
   std::atomic<size_t> active_conns_{0};
-  std::atomic<uint64_t> rejected_{0};
+  ServingCounter rejected_;  ///< mirrored into shard 0's registry
   std::atomic<bool> drain_requested_{false};
   bool drain_begun_ = false;  ///< acceptor thread only
+  /// Set on EMFILE/ENFILE, cleared by the next successful accept: one
+  /// server.accept_error event per episode, not per retry.
+  bool accept_starved_ = false;  ///< acceptor thread only
   std::atomic<size_t> empty_workers_{0};
   std::atomic<bool> draining_{false};  ///< for HEALTH status
   SimTime started_ns_ = 0;
@@ -207,7 +235,6 @@ class ShardedServer {
   std::vector<MetricRegistry*> registries_;
   TimeSeriesRing* series_ = nullptr;
   std::vector<const ClusterDirectory*> cluster_dirs_;
-  Counter* tel_rejected_ = nullptr;  ///< shard 0's registry (acceptor-side)
 };
 
 }  // namespace reo

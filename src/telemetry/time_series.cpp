@@ -245,12 +245,6 @@ std::string TimeSeriesRing::ToJson(size_t max_windows) const {
   return out;
 }
 
-void TrackServingDefaults(MetricRegistry& registry, TimeSeriesRing& ring,
-                          size_t num_devices) {
-  MetricRegistry* regs[] = {&registry};
-  TrackServingDefaults(regs, ring, num_devices);
-}
-
 void TrackServingDefaults(std::span<MetricRegistry* const> registries,
                           TimeSeriesRing& ring, size_t num_devices) {
   // Every column sums the same-named metric across all registries; with

@@ -145,16 +145,12 @@ class TimeSeriesRing {
 /// Wires the serving-path metrics every deployment wants to watch into
 /// `ring`: request/byte/error deltas, connection level, per-op read/write
 /// latency percentiles, read-miss ratio, and flash writes per op summed
-/// over `num_devices` devices. Metrics are resolved (created if absent)
-/// from `registry`, so call this after — or instead of worrying about —
+/// over `num_devices` devices per shard. Every counter / gauge /
+/// histogram is summed (bucket-merged) across `registries`, one per
+/// shard, so the ring reports whole-process series and the paper ratios
+/// in reo_top stay correct under sharding. Metrics are resolved (created
+/// if absent), so call this after — or instead of worrying about —
 /// component AttachTelemetry order.
-void TrackServingDefaults(MetricRegistry& registry, TimeSeriesRing& ring,
-                          size_t num_devices);
-
-/// Multi-shard form: the same columns, with every counter / gauge /
-/// histogram summed (bucket-merged) across one registry per shard, so the
-/// control-plane ring reports whole-process series and the paper ratios
-/// in reo_top stay correct under sharding. `num_devices` is per shard.
 void TrackServingDefaults(std::span<MetricRegistry* const> registries,
                           TimeSeriesRing& ring, size_t num_devices);
 

@@ -1,20 +1,21 @@
 // Loopback integration tests for the network serving layer: a real
-// OsdServer on an ephemeral port, a SocketInitiator doing OSD round
-// trips over TCP, graceful drain with pipelined in-flight requests, and
-// wire-corruption accounting. Plus unit coverage for the frame codec
-// and the timer wheel, which the sockets above exercise only indirectly.
+// one-shard ShardedServer on an ephemeral port, a SocketInitiator doing
+// OSD round trips over TCP, graceful drain with pipelined in-flight
+// requests, wire-corruption accounting, and an acceptor that runs out of
+// file descriptors. Plus unit coverage for the frame codec and the timer
+// wheel, which the sockets above exercise only indirectly.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <unordered_map>
 
 #include "osd/osd_target.h"
 #include "osd/transport.h"
@@ -24,8 +25,9 @@
 #include "server/event_loop.h"
 #include "server/frame.h"
 #include "server/frame_queue.h"
-#include "server/osd_server.h"
 #include "server/socket_initiator.h"
+#include "serving_test_util.h"
+#include "shard/sharded_server.h"
 #include "telemetry/json_scan.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
@@ -35,95 +37,79 @@
 namespace reo {
 namespace {
 
-/// Payload-preserving data plane: enough storage semantics to verify
-/// byte-exact round trips without dragging in the flash stack.
-class MapDataPlane final : public DataPlane {
- public:
-  Result<DataPlaneIo> WriteObject(ObjectId id, std::span<const uint8_t> payload,
-                                  uint64_t, uint8_t, SimTime now) override {
-    data_[id].assign(payload.begin(), payload.end());
-    return DataPlaneIo{.complete = now};
-  }
-  Result<DataPlaneIo> ReadObject(ObjectId id, SimTime now) override {
-    auto it = data_.find(id);
-    if (it == data_.end()) return Status{ErrorCode::kNotFound, "no data"};
-    DataPlaneIo io;
-    io.complete = now;
-    io.payload.assign(it->second.begin(), it->second.end());
-    return io;
-  }
-  Status RemoveObject(ObjectId id) override {
-    return data_.erase(id) ? Status::Ok()
-                           : Status{ErrorCode::kNotFound, "no data"};
-  }
-  Status SetObjectClass(ObjectId, uint8_t, SimTime) override {
-    return Status::Ok();
-  }
-  ObjectHealth Health(ObjectId id) const override {
-    return data_.contains(id) ? ObjectHealth::kIntact : ObjectHealth::kAbsent;
-  }
-  bool recovery_active() const override { return false; }
-  bool HasSpaceFor(uint64_t, uint8_t) const override { return true; }
-
- private:
-  std::unordered_map<ObjectId, std::vector<uint8_t>, ObjectIdHash> data_;
-};
-
 constexpr ObjectId kTestObject{kFirstUserId, kFirstUserId + 0x2000};
 
-OsdCommand FormatCmd() {
-  OsdCommand c;
-  c.op = OsdOp::kFormat;
-  c.capacity_bytes = 1 << 20;
-  return c;
-}
-
-/// Server + loop thread + client, torn down in order.
-class ServerTest : public ::testing::Test {
+/// One target behind a ShardedServer: one worker, nothing forwarded.
+class ServerTest : public ServingTest {
  protected:
-  void StartServer(OsdServerConfig cfg = {}) {
-    server_ = std::make_unique<OsdServer>(target_, cfg);
-    server_->AttachTelemetry(telemetry_);
-    server_->AttachEvents(events_);
-    ASSERT_TRUE(server_->Listen().ok());
-    ASSERT_GT(server_->port(), 0);
-    loop_thread_ = std::thread([this] { server_->Run(); });
+  void StartServer(ShardedServerConfig cfg = {}) { StartShards(1, cfg); }
+
+  /// Plus every-request tracing into the per-stage histograms
+  /// (sample_every = 1, so the attribution-equality assertions are exact,
+  /// not statistical).
+  void StartAdminServer() { StartShards(1, {}, &tracer_); }
+
+  /// The attribution invariant the telemetry plane promises: with
+  /// sample_every = 1 the transport-stage span histogram observes the
+  /// same two clock stamps as the end-to-end service-latency histograms,
+  /// so the counts match exactly and the sums up to float rounding.
+  void ExpectStageAttributionMatches(uint64_t data_requests) {
+    MetricSnapshot snap = telemetry().Snapshot();
+    const MetricSnapshot::Entry* transport =
+        snap.Find("stage.transport.span_us");
+    const MetricSnapshot::Entry* lat_read = snap.Find("server.latency.read_us");
+    const MetricSnapshot::Entry* lat_write =
+        snap.Find("server.latency.write_us");
+    const MetricSnapshot::Entry* lat_other =
+        snap.Find("server.latency.other_us");
+    ASSERT_NE(transport, nullptr);
+    ASSERT_NE(lat_read, nullptr);
+    ASSERT_NE(lat_write, nullptr);
+    ASSERT_NE(lat_other, nullptr);
+
+    uint64_t end_to_end_count =
+        lat_read->count + lat_write->count + lat_other->count;
+    EXPECT_EQ(end_to_end_count, data_requests);
+    EXPECT_EQ(transport->count, end_to_end_count);
+    double end_to_end_sum = lat_read->sum + lat_write->sum + lat_other->sum;
+    EXPECT_NEAR(transport->sum, end_to_end_sum,
+                1e-9 * std::max(1.0, end_to_end_sum));
+
+    // The nested stage (osd_target spans under the transport root) was
+    // attributed too, once per data request.
+    const MetricSnapshot::Entry* target_stage =
+        snap.Find("stage.osd_target.span_us");
+    ASSERT_NE(target_stage, nullptr);
+    EXPECT_EQ(target_stage->count, end_to_end_count);
   }
 
-  /// Full observability wiring: metrics + admin plane + every-request
-  /// tracing into the per-stage histograms (sample_every = 1, so the
-  /// attribution-equality assertions are exact, not statistical).
-  void StartAdminServer(OsdServerConfig cfg = {}) {
-    server_ = std::make_unique<OsdServer>(target_, cfg);
-    server_->AttachTelemetry(telemetry_);
-    server_->AttachEvents(events_);
-    tracer_.AttachStageMetrics(telemetry_);
-    target_.AttachTracing(tracer_);
-    server_->AttachTracing(tracer_);
-    TrackServingDefaults(telemetry_, series_, /*num_devices=*/0);
-    server_->AttachAdmin(&telemetry_, &series_);
-    ASSERT_TRUE(server_->Listen().ok());
-    ASSERT_GT(server_->port(), 0);
-    loop_thread_ = std::thread([this] { server_->Run(); });
+  MetricRegistry& telemetry() { return *registries_[0]; }
+
+  /// CREATE, WRITE and READ back `n` objects of `bytes` bytes each, oids
+  /// from kTestObject.oid + `first`: 3 * n data requests. Wrap the call
+  /// in ASSERT_NO_FATAL_FAILURE.
+  void CreateWriteRead(SocketInitiator& client, uint64_t first, int n,
+                       size_t bytes) {
+    for (int i = 0; i < n; ++i) {
+      OsdCommand create;
+      create.op = OsdOp::kCreate;
+      create.id = ObjectId{kFirstUserId, kTestObject.oid + first + i};
+      create.logical_size = bytes;
+      ASSERT_TRUE(client.Roundtrip(create).ok());
+      OsdCommand write;
+      write.op = OsdOp::kWrite;
+      write.id = create.id;
+      write.data = std::vector<uint8_t>(bytes, static_cast<uint8_t>(i));
+      write.logical_size = bytes;
+      ASSERT_TRUE(client.Roundtrip(write).ok());
+      OsdCommand read;
+      read.op = OsdOp::kRead;
+      read.id = write.id;
+      ASSERT_TRUE(client.Roundtrip(read).ok());
+    }
   }
 
-  void DrainAndJoin() {
-    if (!server_ || !loop_thread_.joinable()) return;
-    server_->RequestDrain();
-    loop_thread_.join();
-  }
-
-  void TearDown() override { DrainAndJoin(); }
-
-  MapDataPlane plane_;
-  OsdTarget target_{plane_};
-  MetricRegistry telemetry_;
-  EventLog events_;
   Tracer tracer_{TracerConfig{.sample_every = 1}};
-  TimeSeriesRing series_{
-      TimeSeriesConfig{.window_ns = 50'000'000, .capacity = 64}};
-  std::unique_ptr<OsdServer> server_;
-  std::thread loop_thread_;
 };
 
 TEST_F(ServerTest, CreateWriteReadRemoveRoundTrip) {
@@ -173,7 +159,7 @@ TEST_F(ServerTest, CreateWriteReadRemoveRoundTrip) {
   EXPECT_EQ(server_->stats().frame_errors, 0u);
   EXPECT_EQ(server_->stats().decode_errors, 0u);
   EXPECT_EQ(server_->stats().requests, 6u);
-  EXPECT_EQ(telemetry_.Snapshot().Find("server.requests")->value, 6.0);
+  EXPECT_EQ(telemetry().Snapshot().Find("server.requests")->value, 6.0);
 }
 
 TEST_F(ServerTest, PipelinedRequestsAllAnswerInOrder) {
@@ -228,7 +214,7 @@ TEST_F(ServerTest, GracefulDrainCompletesInflightRequests) {
   auto after = client.Receive();
   EXPECT_FALSE(after.ok());
 
-  loop_thread_.join();
+  run_thread_.join();
   EXPECT_EQ(server_->stats().requests, 1u + kN);
   EXPECT_EQ(server_->stats().crc_errors, 0u);
   // The drain milestones made it into the event log.
@@ -245,13 +231,8 @@ TEST_F(ServerTest, CrcCorruptionIsCountedLoggedAndDropsConnection) {
   StartServer();
 
   // Raw socket: SocketInitiator would never send a bad CRC.
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ConnectRaw(server_->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   std::vector<uint8_t> frame = EncodeFrame(EncodeCommand(FormatCmd()));
   frame[kFrameHeaderBytes] ^= 0xFF;  // corrupt the first payload byte
@@ -266,7 +247,7 @@ TEST_F(ServerTest, CrcCorruptionIsCountedLoggedAndDropsConnection) {
   DrainAndJoin();
   EXPECT_EQ(server_->stats().crc_errors, 1u);
   EXPECT_EQ(server_->stats().requests, 0u);
-  EXPECT_EQ(telemetry_.Snapshot().Find("server.crc_errors")->value, 1.0);
+  EXPECT_EQ(telemetry().Snapshot().Find("server.crc_errors")->value, 1.0);
   bool saw_corruption = false;
   for (const auto& ev : events_.events()) {
     if (ev.category == "server.wire_corruption") {
@@ -279,13 +260,8 @@ TEST_F(ServerTest, CrcCorruptionIsCountedLoggedAndDropsConnection) {
 
 TEST_F(ServerTest, GarbagePayloadGetsErrorResponseAndConnectionSurvives) {
   StartServer();
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ConnectRaw(server_->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   // A perfectly framed payload that is not an OSD command.
   std::vector<uint8_t> junk = {0xde, 0xad, 0xbe, 0xef};
@@ -294,17 +270,8 @@ TEST_F(ServerTest, GarbagePayloadGetsErrorResponseAndConnectionSurvives) {
             static_cast<ssize_t>(frame.size()));
 
   // The server answers with a sense-kFail response instead of dropping us.
-  FrameDecoder decoder;
   std::vector<uint8_t> payload;
-  for (;;) {
-    FrameStatus st = decoder.Next(&payload);
-    if (st == FrameStatus::kFrame) break;
-    ASSERT_EQ(st, FrameStatus::kNeedMore);
-    uint8_t buf[512];
-    ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0);
-    decoder.Feed({buf, static_cast<size_t>(n)});
-  }
+  ASSERT_TRUE(ReadFramePayload(fd, &payload));
   auto resp = DecodeResponse(payload);
   ASSERT_TRUE(resp.ok());
   EXPECT_FALSE(resp->ok());
@@ -325,23 +292,7 @@ TEST_F(ServerTest, AdminCommandsAnswerDuringLiveTraffic) {
 
   // Live data traffic interleaved with admin polls on the same socket.
   constexpr int kOps = 4;
-  for (int i = 0; i < kOps; ++i) {
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = ObjectId{kFirstUserId, kTestObject.oid + i};
-    create.logical_size = 4;
-    ASSERT_TRUE(client.Roundtrip(create).ok());
-    OsdCommand write;
-    write.op = OsdOp::kWrite;
-    write.id = create.id;
-    write.data = {1, 2, 3, 4};
-    write.logical_size = 4;
-    ASSERT_TRUE(client.Roundtrip(write).ok());
-    OsdCommand read;
-    read.op = OsdOp::kRead;
-    read.id = write.id;
-    ASSERT_TRUE(client.Roundtrip(read).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(CreateWriteRead(client, 0, kOps, 4));
   // format + creates + writes + reads
   constexpr uint64_t kDataRequests = 1 + 3 * kOps;
 
@@ -403,27 +354,13 @@ TEST_F(ServerTest, AdminCommandsAnswerDuringLiveTraffic) {
 
 TEST_F(ServerTest, MalformedAdminFrameAnswersErrorAndConnectionSurvives) {
   StartAdminServer();
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ConnectRaw(server_->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server_->port());
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   auto read_admin_response = [&](int sock) -> Result<AdminResponse> {
-    FrameDecoder decoder;
     std::vector<uint8_t> payload;
-    for (;;) {
-      FrameStatus st = decoder.Next(&payload);
-      if (st == FrameStatus::kFrame) break;
-      if (st != FrameStatus::kNeedMore) {
-        return Status{ErrorCode::kCorrupted, "framing lost"};
-      }
-      uint8_t buf[4096];
-      ssize_t n = recv(sock, buf, sizeof(buf), 0);
-      if (n <= 0) return Status{ErrorCode::kUnavailable, "closed"};
-      decoder.Feed({buf, static_cast<size_t>(n)});
+    if (!ReadFramePayload(sock, &payload)) {
+      return Status{ErrorCode::kUnavailable, "closed or framing lost"};
     }
     return DecodeAdminResponse(payload);
   };
@@ -461,67 +398,62 @@ TEST_F(ServerTest, MalformedAdminFrameAnswersErrorAndConnectionSurvives) {
   EXPECT_TRUE(saw_admin_error);
 }
 
-// The attribution invariant the telemetry plane promises: with
-// sample_every = 1 the transport-stage span histogram observes the same
-// two clock stamps as the end-to-end service-latency histograms, so the
-// sums and counts match exactly — not statistically.
 TEST_F(ServerTest, StageLatencyAttributionMatchesEndToEnd) {
   StartAdminServer();
   SocketInitiator client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());
   constexpr int kOps = 50;
-  for (int i = 0; i < kOps; ++i) {
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = ObjectId{kFirstUserId, kTestObject.oid + 500 + i};
-    create.logical_size = 256;
-    ASSERT_TRUE(client.Roundtrip(create).ok());
-    OsdCommand write;
-    write.op = OsdOp::kWrite;
-    write.id = create.id;
-    write.data = std::vector<uint8_t>(256, static_cast<uint8_t>(i));
-    write.logical_size = 256;
-    ASSERT_TRUE(client.Roundtrip(write).ok());
-    OsdCommand read;
-    read.op = OsdOp::kRead;
-    read.id = write.id;
-    ASSERT_TRUE(client.Roundtrip(read).ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(CreateWriteRead(client, 500, kOps, 256));
   client.Close();
   DrainAndJoin();
+  ExpectStageAttributionMatches(1u + 3u * kOps);
+}
 
-  MetricSnapshot snap = telemetry_.Snapshot();
-  const MetricSnapshot::Entry* transport =
-      snap.Find("stage.transport.span_us");
-  const MetricSnapshot::Entry* lat_read = snap.Find("server.latency.read_us");
-  const MetricSnapshot::Entry* lat_write =
-      snap.Find("server.latency.write_us");
-  const MetricSnapshot::Entry* lat_other =
-      snap.Find("server.latency.other_us");
-  ASSERT_NE(transport, nullptr);
-  ASSERT_NE(lat_read, nullptr);
-  ASSERT_NE(lat_write, nullptr);
-  ASSERT_NE(lat_other, nullptr);
+// One target is one worker: the router always picks shard 0, so neither
+// data ops nor the fan-out ops (FORMAT, LIST) ever leave the home loop,
+// and every one of them is traced and timed there.
+TEST_F(ServerTest, OneShardNeverForwards) {
+  StartAdminServer();
+  SocketInitiator client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());
+  constexpr int kOps = 8;
+  ASSERT_NO_FATAL_FAILURE(CreateWriteRead(client, 700, kOps, 64));
+  OsdCommand list;
+  list.op = OsdOp::kList;
+  list.id = ObjectId{kFirstUserId, 0};
+  OsdResponse listed = client.Roundtrip(list);
+  ASSERT_TRUE(listed.ok());
+  for (int i = 0; i < kOps; ++i) {
+    uint64_t oid = kTestObject.oid + 700 + i;
+    EXPECT_NE(std::find(listed.list.begin(), listed.list.end(), oid),
+              listed.list.end())
+        << "oid " << oid;
+  }
+  // format + creates + writes + reads + list
+  constexpr uint64_t kDataRequests = 1 + 3 * kOps + 1;
 
-  uint64_t end_to_end_count =
-      lat_read->count + lat_write->count + lat_other->count;
-  EXPECT_EQ(end_to_end_count, 1u + 3u * kOps);
-  EXPECT_EQ(transport->count, end_to_end_count);
-  double end_to_end_sum = lat_read->sum + lat_write->sum + lat_other->sum;
-  EXPECT_NEAR(transport->sum, end_to_end_sum,
-              1e-9 * std::max(1.0, end_to_end_sum));
+  auto health = client.AdminRoundtrip(AdminOp::kHealth);
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(health->status, 0);
+  auto hdoc = JsonDoc::Parse(health->json);
+  ASSERT_TRUE(hdoc.has_value());
+  EXPECT_EQ(hdoc->number(hdoc->member(hdoc->root(), "shards")), 1.0);
+  EXPECT_EQ(hdoc->number(hdoc->member(hdoc->root(), "forwarded")), 0.0);
 
-  // The nested stage (osd_target spans under the transport root) was
-  // attributed too, once per data request.
-  const MetricSnapshot::Entry* target_stage =
-      snap.Find("stage.osd_target.span_us");
-  ASSERT_NE(target_stage, nullptr);
-  EXPECT_EQ(target_stage->count, end_to_end_count);
+  client.Close();
+  DrainAndJoin();
+  ShardedServerStats stats = server_->stats();
+  EXPECT_EQ(stats.requests, kDataRequests);
+  EXPECT_EQ(stats.forwarded, 0u);
+  EXPECT_EQ(stats.forward_executed, 0u);
+  EXPECT_EQ(telemetry().Snapshot().Find("server.forwarded")->value, 0.0);
+  ExpectStageAttributionMatches(kDataRequests);
 }
 
 TEST_F(ServerTest, IdleConnectionsAreReaped) {
-  OsdServerConfig cfg;
+  ShardedServerConfig cfg;
   cfg.idle_timeout_ms = 50;
   StartServer(cfg);
   SocketInitiator client;
@@ -532,6 +464,97 @@ TEST_F(ServerTest, IdleConnectionsAreReaped) {
   EXPECT_FALSE(resp.ok());
   DrainAndJoin();
   EXPECT_EQ(server_->stats().closed, 1u);
+}
+
+// --- Descriptor exhaustion ----------------------------------------------------
+
+/// Child-process body: a one-target server under RLIMIT_NOFILE =
+/// `fd_limit`. Reports its port on `out_fd`; on a byte from `in_fd`,
+/// reports the CPU time (us) the process burned over the next second and
+/// the server.accept_error events logged by then. Serves until killed.
+[[noreturn]] void RunFdLimitedServer(rlim_t fd_limit, int in_fd, int out_fd) {
+  rlimit rl{fd_limit, fd_limit};
+  if (setrlimit(RLIMIT_NOFILE, &rl) != 0) _exit(2);
+  MapDataPlane plane;
+  OsdTarget target(plane);
+  EventLog events;
+  OsdTarget* targets[] = {&target};
+  ShardedServer server(targets);
+  server.AttachEvents(events);
+  if (!server.Listen().ok()) _exit(3);
+  uint16_t port = server.port();
+  if (write(out_fd, &port, sizeof(port)) != sizeof(port)) _exit(4);
+  std::thread run([&server] { server.Run(); });
+  char go = 0;
+  if (read(in_fd, &go, 1) != 1) _exit(5);
+  auto cpu_us = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return int64_t{ru.ru_utime.tv_sec + ru.ru_stime.tv_sec} * 1'000'000 +
+           ru.ru_utime.tv_usec + ru.ru_stime.tv_usec;
+  };
+  int64_t before = cpu_us();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  int64_t report[2] = {cpu_us() - before, 0};
+  for (const auto& ev : events.events()) {
+    if (ev.category == "server.accept_error") ++report[1];
+  }
+  if (write(out_fd, report, sizeof(report)) != sizeof(report)) _exit(6);
+  run.join();  // until SIGKILL
+  _exit(0);
+}
+
+// The listener is level-triggered: with a connection pending and no
+// descriptor to accept it into, an acceptor that just retries spins a
+// core for as long as the process stays out of descriptors.
+TEST(AcceptLimitTest, FdExhaustionPausesAcceptorInsteadOfSpinning) {
+  int to_child[2], from_child[2];
+  ASSERT_EQ(pipe(to_child), 0);
+  ASSERT_EQ(pipe(from_child), 0);
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    close(to_child[1]);
+    close(from_child[0]);
+    RunFdLimitedServer(32, to_child[0], from_child[1]);
+  }
+  close(to_child[0]);
+  close(from_child[1]);
+  ChildReaper reaper{{pid}};
+
+  uint16_t port = 0;
+  ASSERT_EQ(read(from_child[0], &port, sizeof(port)),
+            static_cast<ssize_t>(sizeof(port)));
+  ASSERT_GT(port, 0);
+
+  // More clients than the server has descriptors: the kernel completes
+  // every handshake into the backlog, the server accepts until EMFILE.
+  std::vector<int> clients;
+  for (int i = 0; i < 60; ++i) {
+    int fd = ConnectRaw(port);
+    ASSERT_GE(fd, 0);
+    clients.push_back(fd);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  ASSERT_EQ(write(to_child[1], "g", 1), 1);
+  int64_t report[2] = {};
+  ASSERT_EQ(read(from_child[0], report, sizeof(report)),
+            static_cast<ssize_t>(sizeof(report)));
+  EXPECT_LT(report[0], 200'000) << "server used " << report[0]
+                                << " us CPU in 1 s while out of fds";
+  EXPECT_GE(report[1], 1) << "no server.accept_error event";
+
+  // Once the clients go, the server closes its side, the paused acceptor
+  // re-arms, and a new client is served.
+  for (int fd : clients) close(fd);
+  SocketInitiatorConfig cfg;
+  cfg.receive_timeout_ms = 5000;
+  SocketInitiator client(cfg);
+  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+  EXPECT_TRUE(client.Roundtrip(FormatCmd()).ok());
+  close(to_child[1]);
+  close(from_child[0]);
 }
 
 // --- Partial-failure tolerance (connect/receive timeouts, reconnect) ---------

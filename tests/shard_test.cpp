@@ -11,13 +11,13 @@
 #include <memory>
 #include <set>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "osd/control_protocol.h"
 #include "osd/osd_target.h"
 #include "server/admin_protocol.h"
 #include "server/socket_initiator.h"
+#include "serving_test_util.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_server.h"
 #include "telemetry/json_scan.h"
@@ -147,46 +147,6 @@ TEST(ShardRouterTest, MergeFanOutResponses) {
 
 // --- ShardedServer integration ----------------------------------------------
 
-/// Payload-preserving data plane (same stand-in server_test.cpp uses).
-class MapDataPlane final : public DataPlane {
- public:
-  Result<DataPlaneIo> WriteObject(ObjectId id, std::span<const uint8_t> payload,
-                                  uint64_t, uint8_t, SimTime now) override {
-    data_[id].assign(payload.begin(), payload.end());
-    return DataPlaneIo{.complete = now};
-  }
-  Result<DataPlaneIo> ReadObject(ObjectId id, SimTime now) override {
-    auto it = data_.find(id);
-    if (it == data_.end()) return Status{ErrorCode::kNotFound, "no data"};
-    DataPlaneIo io;
-    io.complete = now;
-    io.payload.assign(it->second.begin(), it->second.end());
-    return io;
-  }
-  Status RemoveObject(ObjectId id) override {
-    return data_.erase(id) ? Status::Ok()
-                           : Status{ErrorCode::kNotFound, "no data"};
-  }
-  Status SetObjectClass(ObjectId, uint8_t, SimTime) override {
-    return Status::Ok();
-  }
-  ObjectHealth Health(ObjectId id) const override {
-    return data_.contains(id) ? ObjectHealth::kIntact : ObjectHealth::kAbsent;
-  }
-  bool recovery_active() const override { return false; }
-  bool HasSpaceFor(uint64_t, uint8_t) const override { return true; }
-
- private:
-  std::unordered_map<ObjectId, std::vector<uint8_t>, ObjectIdHash> data_;
-};
-
-OsdCommand FormatCmd() {
-  OsdCommand c;
-  c.op = OsdOp::kFormat;
-  c.capacity_bytes = 4 << 20;
-  return c;
-}
-
 std::vector<uint8_t> PayloadFor(uint32_t rank) {
   std::vector<uint8_t> data(256 + (rank % 7) * 64);
   for (size_t i = 0; i < data.size(); ++i) {
@@ -195,44 +155,12 @@ std::vector<uint8_t> PayloadFor(uint32_t rank) {
   return data;
 }
 
-/// 4 independent target stacks behind one ShardedServer, run on its own
-/// thread; each shard carries its own registry so the aggregation tests
-/// exercise the real cross-shard merge.
-class ShardedServerTest : public ::testing::Test {
+/// 4 independent target stacks behind one ShardedServer.
+class ShardedServerTest : public ServingTest {
  protected:
   static constexpr size_t kShards = 4;
 
-  void Start(ShardedServerConfig cfg = {}) {
-    std::vector<OsdTarget*> targets;
-    std::vector<MetricRegistry*> registries;
-    for (size_t k = 0; k < kShards; ++k) {
-      planes_.push_back(std::make_unique<MapDataPlane>());
-      targets_.push_back(std::make_unique<OsdTarget>(*planes_.back()));
-      registries_.push_back(std::make_unique<MetricRegistry>());
-      targets_.back()->AttachTelemetry(*registries_.back());
-      targets.push_back(targets_.back().get());
-      registries.push_back(registries_.back().get());
-    }
-    server_ = std::make_unique<ShardedServer>(targets, cfg);
-    server_->AttachEvents(events_);
-    for (size_t k = 0; k < kShards; ++k) {
-      server_->AttachShardTelemetry(k, *registries_[k]);
-    }
-    TrackServingDefaults(std::span<MetricRegistry* const>(registries), series_,
-                         /*num_devices=*/0);
-    server_->AttachAdmin(registries, &series_);
-    ASSERT_TRUE(server_->Listen().ok());
-    ASSERT_GT(server_->port(), 0);
-    run_thread_ = std::thread([this] { server_->Run(); });
-  }
-
-  void DrainAndJoin() {
-    if (!server_ || !run_thread_.joinable()) return;
-    server_->RequestDrain();
-    run_thread_.join();
-  }
-
-  void TearDown() override { DrainAndJoin(); }
+  void Start(ShardedServerConfig cfg = {}) { StartShards(kShards, cfg); }
 
   /// An object id owned by `shard` (scan oids until the hash lands there).
   ObjectId IdOnShard(size_t shard, uint64_t salt) const {
@@ -241,15 +169,6 @@ class ShardedServerTest : public ::testing::Test {
       if (server_->router().ShardOf(id) == shard) return id;
     }
   }
-
-  std::vector<std::unique_ptr<MapDataPlane>> planes_;
-  std::vector<std::unique_ptr<OsdTarget>> targets_;
-  std::vector<std::unique_ptr<MetricRegistry>> registries_;
-  EventLog events_;
-  TimeSeriesRing series_{
-      TimeSeriesConfig{.window_ns = 50'000'000, .capacity = 64}};
-  std::unique_ptr<ShardedServer> server_;
-  std::thread run_thread_;
 };
 
 TEST_F(ShardedServerTest, CrossShardRoundTripsOnOneConnection) {

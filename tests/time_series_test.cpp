@@ -254,7 +254,8 @@ TEST(TimeSeriesTest, ToJsonIsWellFormedAndRoundTrips) {
 TEST(TimeSeriesTest, TrackServingDefaultsWiresTheStandardColumns) {
   MetricRegistry reg;
   TimeSeriesRing ring(SmallCfg(10, 8));
-  TrackServingDefaults(reg, ring, 3);
+  MetricRegistry* regs[] = {&reg};
+  TrackServingDefaults(regs, ring, 3);
 
   ring.Advance(0);
   reg.GetCounter("server.requests").Inc(10);
