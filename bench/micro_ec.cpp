@@ -1,9 +1,11 @@
-// Microbenchmarks: GF(256) kernels and Reed-Solomon encode / reconstruct
-// throughput across the stripe geometries Reo uses (google-benchmark).
+// Microbenchmarks: GF(256) kernels, Reed-Solomon encode / reconstruct
+// throughput across the stripe geometries Reo uses, and one 64 KiB
+// StripeManager put per redundancy level (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "array/stripe_manager.h"
 #include "common/rng.h"
 #include "ec/gf256.h"
 #include "ec/rs_code.h"
@@ -22,17 +24,23 @@ std::vector<std::vector<uint8_t>> RandomChunks(size_t n, size_t len) {
   return chunks;
 }
 
+// Args: {length, coefficient}. Coefficient 1 is the XOR every parity of a
+// one-data-chunk stripe (and all of 1-parity) reduces to; 0x57 is a real
+// multiply.
 void BM_GfMulAcc(benchmark::State& state) {
   size_t len = static_cast<size_t>(state.range(0));
+  auto c = static_cast<uint8_t>(state.range(1));
   auto bufs = RandomChunks(2, len);
   for (auto _ : state) {
-    reo::gf256::MulAcc(bufs[0], bufs[1], 0x57);
+    reo::gf256::MulAcc(bufs[0], bufs[1], c);
     benchmark::DoNotOptimize(bufs[0].data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(len));
 }
-BENCHMARK(BM_GfMulAcc)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
+BENCHMARK(BM_GfMulAcc)
+    ->ArgsProduct({{1024, 64 * 1024, 1024 * 1024}, {1, 0x57}});
 
 // Pinned to the portable reference kernel so the SIMD speedup in
 // BM_GfMulAcc has an in-tree denominator.
@@ -50,15 +58,17 @@ BENCHMARK(BM_GfMulAccScalar)->Arg(1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 void BM_GfMulBuf(benchmark::State& state) {
   size_t len = static_cast<size_t>(state.range(0));
+  auto c = static_cast<uint8_t>(state.range(1));
   auto bufs = RandomChunks(2, len);
   for (auto _ : state) {
-    reo::gf256::MulBuf(bufs[0], bufs[1], 0x57);
+    reo::gf256::MulBuf(bufs[0], bufs[1], c);
     benchmark::DoNotOptimize(bufs[0].data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(len));
 }
-BENCHMARK(BM_GfMulBuf)->Arg(1024)->Arg(64 * 1024);
+BENCHMARK(BM_GfMulBuf)->ArgsProduct({{1024, 64 * 1024}, {1, 0x57}});
 
 void BM_GfMulBufScalar(benchmark::State& state) {
   size_t len = static_cast<size_t>(state.range(0));
@@ -137,5 +147,31 @@ void BM_RsReconstruct(benchmark::State& state) {
                           static_cast<int64_t>(erased * len));
 }
 BENCHMARK(BM_RsReconstruct)->Args({3, 2, 1})->Args({3, 2, 2})->Args({4, 1, 1});
+
+// One 64 KiB object put over and over on a 5-device array at full scale:
+// allocation, encode, copy and CRC per stored chunk, as the serving write
+// path pays them. Arg: RedundancyLevel (0 = none, 2 = 2-parity,
+// 3 = replicate).
+void BM_StripePut(benchmark::State& state) {
+  auto level = static_cast<reo::RedundancyLevel>(state.range(0));
+  constexpr uint64_t kObject = 64 * 1024;
+  reo::FlashArray array(5, reo::FlashDeviceConfig{});
+  reo::StripeManager stripes(
+      array, reo::StripeManagerConfig{.chunk_logical_bytes = kObject});
+  auto payload = RandomChunks(1, kObject)[0];
+  reo::ObjectId id{reo::kFirstUserId, 1};
+  for (auto _ : state) {
+    auto io = stripes.PutObject(id, payload, kObject, level, 0);
+    if (!io.ok()) state.SkipWithError("put failed");
+    benchmark::DoNotOptimize(io);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kObject));
+  state.SetLabel(std::string(reo::to_string(level)));
+}
+BENCHMARK(BM_StripePut)
+    ->Arg(static_cast<int>(reo::RedundancyLevel::kNone))
+    ->Arg(static_cast<int>(reo::RedundancyLevel::kParity2))
+    ->Arg(static_cast<int>(reo::RedundancyLevel::kReplicate));
 
 }  // namespace

@@ -146,8 +146,10 @@ Result<ArrayIo> StripeManager::UpdateObjectRange(ObjectId id, uint64_t offset,
       }
       std::vector<std::span<const uint8_t>> dspans(bufs.begin(), bufs.end());
       REO_RETURN_IF_ERROR(write_slot(chunk, new_data));
+      // EncodeParity overwrites every byte, so one scratch buffer serves
+      // all k parity chunks.
+      PayloadBuffer parity(static_cast<size_t>(chunk_physical_));
       for (size_t p = 0; p < k; ++p) {
-        std::vector<uint8_t> parity(static_cast<size_t>(chunk_physical_));
         code.EncodeParity(p, dspans, parity);
         REO_RETURN_IF_ERROR(write_slot(stripe.redundancy[p], parity));
       }

@@ -143,8 +143,8 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
         ++io.chunk_reads;
         auto slot = array_.device(dst).AllocateSlot(c.logical_bytes);
         if (!slot.ok()) continue;
-        std::vector<uint8_t> copy(payload->begin(), payload->end());
-        Status st = array_.device(dst).WriteSlot(*slot, copy);
+        // dst != c.device, so the source view stays valid across the write.
+        Status st = array_.device(dst).WriteSlot(*slot, *payload);
         if (!st.ok()) {
           (void)array_.device(dst).FreeSlot(*slot);
           return st;
@@ -206,14 +206,14 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
     };
 
     // Decode every lost data chunk in one pass (charges survivor reads).
-    std::unordered_map<uint32_t, std::vector<uint8_t>> decoded;
+    std::unordered_map<uint32_t, PayloadBuffer> decoded;
     if (stripe.lost_data_count() > 0 ||
         stripe.level == RedundancyLevel::kReplicate) {
       REO_RETURN_IF_ERROR(DecodeStripe(stripe, decoded, now, io));
     }
 
     // Materialize data chunk buffers for parity re-encoding if needed.
-    auto read_or_decoded = [&](uint32_t i) -> Result<std::vector<uint8_t>> {
+    auto read_or_decoded = [&](uint32_t i) -> Result<PayloadBuffer> {
       if (stripe.data[i].lost) {
         auto d = decoded.find(i);
         REO_CHECK(d != decoded.end());
@@ -226,7 +226,7 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
           io.complete,
           array_.device(c.device).SubmitIo(now, c.logical_bytes, false));
       ++io.chunk_reads;
-      return std::vector<uint8_t>(buf->begin(), buf->end());
+      return PayloadBuffer(buf->begin(), buf->end());
     };
 
     auto rebuild_chunk = [&](StripeChunk& c,
@@ -276,7 +276,7 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
       } else {
         size_t m = stripe.data.size();
         const RsCode& code = CodeFor(m, stripe.redundancy.size());
-        std::vector<std::vector<uint8_t>> data_bufs;
+        std::vector<PayloadBuffer> data_bufs;
         data_bufs.reserve(m);
         for (uint32_t i = 0; i < m; ++i) {
           auto b = read_or_decoded(i);
@@ -286,8 +286,8 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
         std::vector<std::span<const uint8_t>> dspans;
         dspans.reserve(m);
         for (const auto& b : data_bufs) dspans.emplace_back(b);
-        std::vector<uint8_t> parity(static_cast<size_t>(chunk_physical_));
-        code.EncodeParity(j, dspans, parity);
+        PayloadBuffer parity(static_cast<size_t>(chunk_physical_));
+        code.EncodeParity(j, dspans, parity);  // overwrites every byte
         REO_RETURN_IF_ERROR(rebuild_chunk(c, parity));
       }
     }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/crc32c.h"
+
 namespace reo {
 
 namespace {
@@ -190,10 +192,12 @@ Result<SimTime> StripeManager::WriteStripe(
     return a;
   };
 
+  // Every chunk is checksummed once per distinct buffer: a replicated
+  // stripe writes one buffer k + 1 times under the same CRC.
   SimTime done = now;
   auto write_chunk = [&](const Alloc& a, std::span<const uint8_t> buf,
-                         uint64_t logical) -> Status {
-    Status st = array_.device(a.dev).WriteSlot(a.slot, buf);
+                         uint32_t crc, uint64_t logical) -> Status {
+    Status st = array_.device(a.dev).WriteSlot(a.slot, buf, crc);
     if (!st.ok()) return st;
     done = std::max(done, array_.device(a.dev).SubmitIo(now, logical, true));
     ++io.chunk_writes;
@@ -201,13 +205,16 @@ Result<SimTime> StripeManager::WriteStripe(
   };
 
   // Data chunks.
+  uint32_t first_crc = 0;
   for (size_t i = 0; i < m; ++i) {
     auto a = place(i, data_logical[i]);
     if (!a.ok()) {
       rollback();
       return a.status();
     }
-    Status st = write_chunk(*a, data_bufs[i], data_logical[i]);
+    uint32_t crc = Crc32c(data_bufs[i]);
+    if (i == 0) first_crc = crc;
+    Status st = write_chunk(*a, data_bufs[i], crc, data_logical[i]);
     if (!st.ok()) {
       rollback();
       return st;
@@ -228,7 +235,7 @@ Result<SimTime> StripeManager::WriteStripe(
         rollback();
         return a.status();
       }
-      Status st = write_chunk(*a, data_bufs[0], parity_logical);
+      Status st = write_chunk(*a, data_bufs[0], first_crc, parity_logical);
       if (!st.ok()) {
         rollback();
         return st;
@@ -240,11 +247,13 @@ Result<SimTime> StripeManager::WriteStripe(
     }
   } else if (k > 0) {
     const RsCode& code = CodeFor(m, k);
-    std::vector<std::vector<uint8_t>> parity(k,
-        std::vector<uint8_t>(static_cast<size_t>(chunk_physical_)));
+    std::vector<PayloadBuffer> parity(k);  // Encode overwrites every byte
     std::vector<std::span<uint8_t>> pspans;
     pspans.reserve(k);
-    for (auto& p : parity) pspans.emplace_back(p);
+    for (auto& p : parity) {
+      p.resize(static_cast<size_t>(chunk_physical_));
+      pspans.emplace_back(p);
+    }
     code.Encode(data_bufs, pspans);
     for (size_t j = 0; j < k; ++j) {
       auto a = place(m + j, parity_logical);
@@ -252,7 +261,7 @@ Result<SimTime> StripeManager::WriteStripe(
         rollback();
         return a.status();
       }
-      Status st = write_chunk(*a, parity[j], parity_logical);
+      Status st = write_chunk(*a, parity[j], Crc32c(parity[j]), parity_logical);
       if (!st.ok()) {
         rollback();
         return st;
@@ -284,7 +293,7 @@ Status StripeManager::ReadChunk(const Stripe& stripe, const StripeChunk& chunk,
   (void)stripe;
   auto data = array_.device(chunk.device).ReadSlot(chunk.slot);
   if (!data.ok()) return data.status();
-  if (config_.verify_reads && data->size() != out.size()) {
+  if (data->size() != out.size()) {
     return {ErrorCode::kCorrupted, "chunk size mismatch"};
   }
   std::copy(data->begin(), data->end(), out.begin());
@@ -313,9 +322,8 @@ void StripeManager::AttachTelemetry(MetricRegistry& registry) {
 }
 
 Status StripeManager::DecodeStripe(
-    Stripe& stripe,
-    std::unordered_map<uint32_t, std::vector<uint8_t>>& decoded, SimTime now,
-    ArrayIo& io) {
+    Stripe& stripe, std::unordered_map<uint32_t, PayloadBuffer>& decoded,
+    SimTime now, ArrayIo& io) {
   if (!stripe.recoverable()) {
     return {ErrorCode::kUnrecoverable, "stripe lost beyond parity"};
   }
@@ -350,7 +358,7 @@ Status StripeManager::DecodeStripe(
         if (!data.ok()) continue;  // corrupt copy marked lost; try next
         for (uint32_t i = 0; i < stripe.data.size(); ++i) {
           if (stripe.data[i].lost) {
-            decoded[i] = std::vector<uint8_t>(data->begin(), data->end());
+            decoded[i].assign(data->begin(), data->end());
           }
         }
         return Status::Ok();
@@ -386,11 +394,13 @@ Status StripeManager::DecodeStripe(
     if (stripe.data[i].lost) missing_data.push_back(i);
   }
 
-  std::vector<std::vector<uint8_t>> outs(missing_data.size(),
-      std::vector<uint8_t>(static_cast<size_t>(chunk_physical_)));
+  std::vector<PayloadBuffer> outs(missing_data.size());  // overwritten
   std::vector<std::span<uint8_t>> out_spans;
   out_spans.reserve(outs.size());
-  for (auto& o : outs) out_spans.emplace_back(o);
+  for (auto& o : outs) {
+    o.resize(static_cast<size_t>(chunk_physical_));
+    out_spans.emplace_back(o);
+  }
   REO_RETURN_IF_ERROR(code.Reconstruct(present, missing_data, out_spans));
 
   for (size_t i = 0; i < missing_data.size(); ++i) {
@@ -420,7 +430,7 @@ Result<ArrayIo> StripeManager::GetObject(ObjectId id, SimTime now) {
     Status stripe_status = Status::Ok();
     for (size_t attempt = 0; attempt <= stripe.data.size(); ++attempt) {
       stripe_status = Status::Ok();
-      std::unordered_map<uint32_t, std::vector<uint8_t>> decoded;
+      std::unordered_map<uint32_t, PayloadBuffer> decoded;
       if (stripe.lost_data_count() > 0) {
         stripe_status = DecodeStripe(stripe, decoded, now, io);
         if (!stripe_status.ok()) break;

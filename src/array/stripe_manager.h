@@ -54,8 +54,6 @@ struct StripeManagerConfig {
   /// cache size (e.g. 10 % of the dataset) is a configuration knob, far
   /// below the 5 x 120 GB of raw flash.
   uint64_t capacity_limit_bytes = 0;
-  /// Verify chunk CRCs and sizes on every read (cheap; on by default).
-  bool verify_reads = true;
 };
 
 /// Outcome of a data-path operation, with virtual-time completion.
@@ -258,7 +256,7 @@ class StripeManager {
   /// Self-healing: a survivor that fails its CRC is marked lost on the
   /// spot and decoding continues with the remaining fragments.
   Status DecodeStripe(Stripe& stripe,
-                      std::unordered_map<uint32_t, std::vector<uint8_t>>& decoded,
+                      std::unordered_map<uint32_t, PayloadBuffer>& decoded,
                       SimTime now, ArrayIo& io);
 
   /// Marks a chunk lost after its payload proved unreadable (corrupt):

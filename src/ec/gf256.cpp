@@ -1,6 +1,8 @@
 #include "ec/gf256.h"
 
+#include <algorithm>
 #include <array>
+#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -149,6 +151,19 @@ void MulBufSimd(uint8_t* dst, const uint8_t* src, size_t n, uint8_t c) {
   for (; i < n; ++i) dst[i] = t.lo[src[i] & 0x0F] ^ t.hi[src[i] >> 4];
 }
 
+/// dst ^= src: the c == 1 product. SSE2 is a subset of SSSE3, so the one
+/// runtime check covers both kernels.
+__attribute__((target("sse2")))
+void XorSimd(uint8_t* dst, const uint8_t* src, size_t n) {
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    __m128i d = _mm_loadu_si128(reinterpret_cast<__m128i*>(dst + i));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_xor_si128(d, s));
+  }
+  for (; i < n; ++i) dst[i] ^= src[i];
+}
+
 bool HasSsse3() {
   static const bool has = __builtin_cpu_supports("ssse3");
   return has;
@@ -170,9 +185,13 @@ bool HasSimdKernels() {
 
 void MulAcc(std::span<uint8_t> dst, std::span<const uint8_t> src, uint8_t c) {
 #if defined(__x86_64__) || defined(__i386__)
-  if (c > 1 && dst.size() == src.size() && dst.size() >= kSimdCutover &&
+  if (c != 0 && dst.size() == src.size() && dst.size() >= kSimdCutover &&
       HasSsse3()) {
-    MulAccSimd(dst.data(), src.data(), dst.size(), c);
+    if (c == 1) {
+      XorSimd(dst.data(), src.data(), dst.size());
+    } else {
+      MulAccSimd(dst.data(), src.data(), dst.size(), c);
+    }
     return;
   }
 #endif
@@ -180,9 +199,18 @@ void MulAcc(std::span<uint8_t> dst, std::span<const uint8_t> src, uint8_t c) {
 }
 
 void MulBuf(std::span<uint8_t> dst, std::span<const uint8_t> src, uint8_t c) {
+  REO_CHECK(dst.size() == src.size());
+  if (dst.empty()) return;
+  if (c == 0) {
+    std::fill(dst.begin(), dst.end(), uint8_t{0});
+    return;
+  }
+  if (c == 1) {
+    std::memcpy(dst.data(), src.data(), dst.size());
+    return;
+  }
 #if defined(__x86_64__) || defined(__i386__)
-  if (c > 1 && dst.size() == src.size() && dst.size() >= kSimdCutover &&
-      HasSsse3()) {
+  if (dst.size() >= kSimdCutover && HasSsse3()) {
     MulBufSimd(dst.data(), src.data(), dst.size(), c);
     return;
   }

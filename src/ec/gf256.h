@@ -28,11 +28,13 @@ uint8_t Pow(uint8_t a, uint32_t e);
 
 /// dst[i] ^= c * src[i] for all i. The stripe-encoding kernel. Dispatches
 /// to an SSSE3 pshufb split-nibble kernel at runtime when the CPU has it
-/// (mirroring the CRC32C SSE4.2 dispatch); byte-identical to the scalar
-/// path either way.
+/// (mirroring the CRC32C SSE4.2 dispatch), and c == 1 — every coefficient
+/// of XOR parity and of a one-data-chunk stripe — to a vector XOR;
+/// byte-identical to the scalar path either way.
 void MulAcc(std::span<uint8_t> dst, std::span<const uint8_t> src, uint8_t c);
 
-/// dst[i] = c * src[i] for all i.
+/// dst[i] = c * src[i] for all i; every byte of dst is overwritten. c == 1
+/// is a memcpy and c == 0 a fill; other coefficients dispatch like MulAcc.
 void MulBuf(std::span<uint8_t> dst, std::span<const uint8_t> src, uint8_t c);
 
 /// Portable table-per-coefficient reference kernels. Exposed so the

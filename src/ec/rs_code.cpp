@@ -1,7 +1,5 @@
 #include "ec/rs_code.h"
 
-#include <algorithm>
-
 #include "ec/gf256.h"
 
 namespace reo {
@@ -69,10 +67,15 @@ void RsCode::EncodeParity(size_t p,
                           std::span<uint8_t> parity) const {
   REO_CHECK(p < k_);
   REO_CHECK(data.size() == m_);
-  std::fill(parity.begin(), parity.end(), 0);
+  // The first term overwrites, so whatever `parity` held does not matter.
   for (size_t d = 0; d < m_; ++d) {
     REO_CHECK(data[d].size() == parity.size());
-    gf256::MulAcc(parity, data[d], generator_.at(m_ + p, d));
+    uint8_t coef = generator_.at(m_ + p, d);
+    if (d == 0) {
+      gf256::MulBuf(parity, data[d], coef);
+    } else {
+      gf256::MulAcc(parity, data[d], coef);
+    }
   }
 }
 
@@ -107,14 +110,17 @@ Status RsCode::Reconstruct(
     size_t f = missing[mi];
     REO_CHECK(f < m_ + k_);
     std::span<uint8_t> dst = out[mi];
-    std::fill(dst.begin(), dst.end(), 0);
     for (size_t s = 0; s < m_; ++s) {
       uint8_t coef = 0;
       for (size_t d = 0; d < m_; ++d) {
         coef = gf256::Add(coef, gf256::Mul(generator_.at(f, d), inv->at(d, s)));
       }
       REO_CHECK(bufs[s].size() == dst.size());
-      gf256::MulAcc(dst, bufs[s], coef);
+      if (s == 0) {
+        gf256::MulBuf(dst, bufs[s], coef);  // the first term overwrites dst
+      } else {
+        gf256::MulAcc(dst, bufs[s], coef);
+      }
     }
   }
   return Status::Ok();

@@ -41,11 +41,13 @@ class RsCode {
   uint8_t Coefficient(size_t p, size_t d) const;
 
   /// Computes all k parity buffers from the m data buffers.
-  /// All spans must have identical size; parity spans are overwritten.
+  /// All spans must have identical size; parity spans are overwritten, so
+  /// they need no initialization.
   void Encode(std::span<const std::span<const uint8_t>> data,
               std::span<const std::span<uint8_t>> parity) const;
 
-  /// Recomputes a single parity chunk (index `p` in [0,k)).
+  /// Recomputes a single parity chunk (index `p` in [0,k)); `parity` is
+  /// overwritten.
   void EncodeParity(size_t p, std::span<const std::span<const uint8_t>> data,
                     std::span<uint8_t> parity) const;
 
@@ -55,7 +57,7 @@ class RsCode {
   /// @param present   fragment index -> buffer for every surviving fragment
   ///                  (must contain at least m entries; extra are ignored)
   /// @param missing   fragment indices to rebuild
-  /// @param out       output buffers, parallel to `missing`
+  /// @param out       output buffers, parallel to `missing`; overwritten
   /// @returns kUnrecoverable if fewer than m fragments survive.
   Status Reconstruct(
       std::span<const std::pair<size_t, std::span<const uint8_t>>> present,

@@ -129,6 +129,11 @@ Status FlashDevice::FreeSlot(SlotId slot) {
 }
 
 Status FlashDevice::WriteSlot(SlotId slot, std::span<const uint8_t> payload) {
+  return WriteSlot(slot, payload, Crc32c(payload));
+}
+
+Status FlashDevice::WriteSlot(SlotId slot, std::span<const uint8_t> payload,
+                              uint32_t crc) {
   if (!healthy()) return {ErrorCode::kUnavailable, "device failed"};
   if (slot >= slots_.size() || !slots_[slot].allocated) {
     return {ErrorCode::kNotFound, "no such slot"};
@@ -143,7 +148,7 @@ Status FlashDevice::WriteSlot(SlotId slot, std::span<const uint8_t> payload) {
     return {ErrorCode::kIoError, "injected transient write error"};
   }
   s.payload.assign(payload.begin(), payload.end());
-  s.crc = Crc32c(payload);
+  s.crc = crc;
   if (faults_ && faults_->enabled(FaultSite::kFlashLatent) &&
       faults_
           ->Roll(FaultSite::kFlashLatent, static_cast<int32_t>(fault_index_))

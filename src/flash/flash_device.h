@@ -95,6 +95,12 @@ class FlashDevice {
   /// Stores the physical payload for a previously allocated slot.
   Status WriteSlot(SlotId slot, std::span<const uint8_t> payload);
 
+  /// Same, with the payload's CRC32C supplied by the caller, so one buffer
+  /// written to several slots (replicas) is checksummed once. The device
+  /// stores `crc` as given and ReadSlot verifies it: a wrong `crc` makes the
+  /// slot read back as kCorrupted.
+  Status WriteSlot(SlotId slot, std::span<const uint8_t> payload, uint32_t crc);
+
   /// Returns a view of the physical payload. Fails with kUnavailable if the
   /// device is down and kCorrupted if the payload fails its CRC. Non-const:
   /// reads advance the wear/traffic counters.

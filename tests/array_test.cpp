@@ -93,6 +93,53 @@ TEST_P(RedundancyLevelP, RemoveReleasesAllSpace) {
   EXPECT_EQ(fx.stripes.redundancy_bytes(), 0u);
 }
 
+// Every chunk the write paths store carries a CRC that matches its bytes:
+// fresh puts of one chunk and of 3.5 chunks, an overwrite, a partial update
+// (the direct re-encode path for a one-chunk 2-parity stripe) and a
+// re-encode all leave a store that scrubs clean.
+TEST_P(RedundancyLevelP, WrittenChunksScrubClean) {
+  ArrayFixture fx;
+  const RedundancyLevel level = GetParam();
+  const uint64_t sizes[] = {kChunk, 3 * kChunk + kChunk / 2};
+  uint64_t chunks_of[2] = {0, 0};  // chunks stored per object
+  for (uint64_t n = 0; n < 2; ++n) {
+    auto io = fx.Put(Oid(n), sizes[n], level);
+    ASSERT_TRUE(io.ok());
+    chunks_of[n] = io->chunk_writes;
+  }
+
+  // Overwrite object 1 with different bytes.
+  auto v2 = BackendStore::SynthesizePayload(Oid(1), 1,
+                                            fx.stripes.PhysicalSize(sizes[1]));
+  auto over = fx.stripes.PutObject(Oid(1), v2, sizes[1], level, 0);
+  ASSERT_TRUE(over.ok());
+  chunks_of[1] = over->chunk_writes;
+
+  // Update part of object 0 in place.
+  std::vector<uint8_t> patch(kChunk / 4, 0xC3);
+  ASSERT_TRUE(fx.stripes.UpdateObjectRange(Oid(0), 100, patch, 0).ok());
+
+  // Re-encode object 1 at the next level.
+  auto next = static_cast<RedundancyLevel>((static_cast<int>(level) + 1) % 4);
+  auto re = fx.stripes.ReencodeObject(Oid(1), next, 0);
+  ASSERT_TRUE(re.ok());
+  chunks_of[1] = re->chunk_writes;
+
+  auto report = fx.stripes.Scrub(0);
+  EXPECT_EQ(report.corrupt_found, 0u);
+  EXPECT_EQ(report.chunks_scanned, chunks_of[0] + chunks_of[1]);
+  EXPECT_TRUE(report.lost.empty());
+
+  auto expect0 = fx.Payload(Oid(0), sizes[0]);
+  std::copy(patch.begin(), patch.end(), expect0.begin() + 100);
+  auto got0 = fx.stripes.GetObject(Oid(0), 0);
+  auto got1 = fx.stripes.GetObject(Oid(1), 0);
+  ASSERT_TRUE(got0.ok());
+  ASSERT_TRUE(got1.ok());
+  EXPECT_EQ(got0->payload, expect0);
+  EXPECT_EQ(got1->payload, v2);
+}
+
 INSTANTIATE_TEST_SUITE_P(Levels, RedundancyLevelP,
                          ::testing::Values(RedundancyLevel::kNone,
                                            RedundancyLevel::kParity1,

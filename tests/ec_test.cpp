@@ -3,6 +3,7 @@
 // strategies (direct vs delta).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -120,17 +121,19 @@ TEST(Gf256Test, MulBufMatchesScalar) {
   }
 }
 
-// Differential: the dispatched kernels (SSSE3 pshufb on capable CPUs) must be
-// byte-identical to the scalar reference for every coefficient, across
-// unaligned starts, odd lengths spanning the 16-byte vector width, and the
-// sub-cutover sizes that stay scalar.
+// Differential: the dispatched kernels (SSSE3 pshufb on capable CPUs, vector
+// XOR / memcpy / fill for c = 1 and c = 0) must be byte-identical to the
+// scalar reference for every coefficient, across unaligned starts, odd
+// lengths spanning the 16-byte vector width, the sub-cutover sizes that stay
+// scalar, and a full 64 KiB chunk with and without a tail.
 TEST(Gf256Test, DispatchedKernelsMatchScalarExhaustively) {
   Pcg32 rng(7);
-  constexpr size_t kMax = 4096 + 19;
+  constexpr size_t kMax = 64 * 1024 + 15;
   std::vector<uint8_t> backing_src(kMax + 16), backing_dst(kMax + 16);
   for (auto& v : backing_src) v = static_cast<uint8_t>(rng.Next());
   for (auto& v : backing_dst) v = static_cast<uint8_t>(rng.Next());
-  const size_t lens[] = {0, 1, 15, 16, 17, 31, 32, 33, 47, 63, 64, 100, 4096};
+  const size_t lens[] = {0, 1, 15, 16, 17, 31, 32, 33, 47, 63, 64, 100, 4096,
+                         64 * 1024, kMax};
   const size_t offsets[] = {0, 1, 7, 13};
   for (int c = 0; c < 256; ++c) {
     for (size_t len : lens) {
@@ -302,6 +305,52 @@ TEST_P(RsCodeP, ParityIsDeterministic) {
   code.Encode(dspans, s1);
   code.Encode(dspans, s2);
   EXPECT_EQ(p1, p2);
+}
+
+// Encode and Reconstruct overwrite their outputs: buffers pre-filled with
+// garbage must come out equal to buffers that started zeroed.
+TEST_P(RsCodeP, OutputsNeedNoInitialization) {
+  RsCode code = MakeCode();
+  size_t m = code.data_chunks(), k = code.parity_chunks();
+  constexpr size_t kLen = 100;  // above the SIMD cutover, with a tail
+  auto data = RandomChunks(m, kLen, 11);
+  std::vector<std::span<const uint8_t>> dspans(data.begin(), data.end());
+
+  std::vector<std::vector<uint8_t>> zeroed(k, std::vector<uint8_t>(kLen, 0));
+  auto garbage = RandomChunks(k, kLen, 12);
+  std::vector<std::span<uint8_t>> zspans(zeroed.begin(), zeroed.end());
+  std::vector<std::span<uint8_t>> gspans(garbage.begin(), garbage.end());
+  code.Encode(dspans, zspans);
+  code.Encode(dspans, gspans);
+  EXPECT_EQ(garbage, zeroed);
+  for (size_t p = 0; p < k; ++p) {
+    auto single = RandomChunks(1, kLen, 13 + p)[0];
+    code.EncodeParity(p, dspans, single);
+    EXPECT_EQ(single, zeroed[p]) << "parity " << p;
+  }
+
+  // Rebuild the first max(k, 1) fragments from the rest (with k == 0, from
+  // every fragment, so the decode path still runs).
+  auto fragment = [&](size_t f) -> const std::vector<uint8_t>& {
+    return f < m ? data[f] : zeroed[f - m];
+  };
+  std::vector<size_t> missing;
+  for (size_t f = 0; f < std::max<size_t>(k, 1); ++f) missing.push_back(f);
+  std::vector<std::pair<size_t, std::span<const uint8_t>>> present;
+  for (size_t f = (k == 0 ? 0 : k); f < m + k; ++f) {
+    present.emplace_back(f, fragment(f));
+  }
+  std::vector<std::vector<uint8_t>> zero_out(missing.size(),
+                                             std::vector<uint8_t>(kLen, 0));
+  auto garbage_out = RandomChunks(missing.size(), kLen, 14);
+  std::vector<std::span<uint8_t>> zo(zero_out.begin(), zero_out.end());
+  std::vector<std::span<uint8_t>> go(garbage_out.begin(), garbage_out.end());
+  ASSERT_TRUE(code.Reconstruct(present, missing, zo).ok());
+  ASSERT_TRUE(code.Reconstruct(present, missing, go).ok());
+  EXPECT_EQ(garbage_out, zero_out);
+  for (size_t i = 0; i < missing.size(); ++i) {
+    EXPECT_EQ(zero_out[i], fragment(missing[i])) << "fragment " << missing[i];
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

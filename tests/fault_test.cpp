@@ -273,7 +273,8 @@ struct PlaneFixture {
   }
 
   double Metric(const std::string& name) {
-    const auto* e = registry.Snapshot().Find(name);
+    MetricSnapshot snapshot = registry.Snapshot();  // Find points into it
+    const auto* e = snapshot.Find(name);
     return e != nullptr ? e->value : 0.0;
   }
 
@@ -479,6 +480,49 @@ TEST(CacheFaultTest, ColdCleanCorruptionBecomesCleanMiss) {
   EXPECT_EQ(fx.cache->stats().verify_failures, 0u);
 }
 
+// A replicated put checksums its buffer once and hands that CRC to every
+// replica. Latent damage to one replica after the CRC is stored must still
+// be caught on that replica's next read: the CRC describes the intended
+// bytes, not the damaged ones.
+TEST(DegradedReadTest, LatentReplicaCorruptionIsDetectedAndRepaired) {
+  // Device 0 holds a replica, not the data chunk, of the first stripe.
+  PlaneFixture fx(MustParse(R"({"rules": [
+    {"site": "flash.latent", "probability": 1.0, "device": 0,
+     "max_triggers": 1}]})"));
+  auto payload = fx.PayloadFor(1, kChunk);
+  ASSERT_TRUE(fx.stripes
+                  ->PutObject(Oid(1), payload, kChunk,
+                              RedundancyLevel::kReplicate, 0)
+                  .ok());
+  ASSERT_EQ(fx.injector->injected(FaultSite::kFlashLatent), 1u);
+
+  // The data chunk is intact, so a normal read never touches the replica.
+  auto direct = fx.stripes->GetObject(Oid(1), 0);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(direct->corrupt_chunks, 0u);
+  EXPECT_EQ(direct->payload, payload);
+
+  // The scrub reads every replica: the damaged one fails its CRC and is
+  // rebuilt from a good copy.
+  auto report = fx.stripes->Scrub(0);
+  EXPECT_EQ(report.chunks_scanned, 5u);  // 1 data + 4 replicas
+  EXPECT_EQ(report.corrupt_found, 1u);
+  EXPECT_EQ(report.chunks_repaired, 1u);
+  EXPECT_TRUE(report.lost.empty());
+  EXPECT_EQ(fx.stripes->Scrub(0).corrupt_found, 0u);
+
+  // With every other device gone, the repaired replica on device 0 serves.
+  for (DeviceIndex d = 1; d < fx.array->size(); ++d) {
+    ASSERT_TRUE(fx.array->FailDevice(d).ok());
+    (void)fx.stripes->OnDeviceFailure(d);
+  }
+  auto degraded = fx.stripes->GetObject(Oid(1), 0);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().to_string();
+  EXPECT_TRUE(degraded->degraded);
+  EXPECT_EQ(degraded->corrupt_chunks, 0u);
+  EXPECT_EQ(degraded->payload, payload);
+}
+
 // --- Scrubber accounting ----------------------------------------------------
 
 TEST(ScrubAccountingTest, DetectionAndRepairHitMetricsAndEvents) {
@@ -539,15 +583,15 @@ std::string ScratchDir(const std::string& name) {
 }
 
 TEST(PersistFaultTest, InjectedShortWriteFailsTheCommit) {
+  // Declared before the manager, so it outlives the manager's final sync.
+  FaultSpec spec = MustParse(R"({"rules": [
+    {"site": "persist.write", "probability": 1.0, "max_triggers": 1}]})");
+  FaultInjector inj(spec);
   PersistenceConfig cfg;
   cfg.data_dir = ScratchDir("write");
   auto opened = PersistenceManager::Open(cfg);
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
   auto& pm = **opened;
-
-  FaultSpec spec = MustParse(R"({"rules": [
-    {"site": "persist.write", "probability": 1.0, "max_triggers": 1}]})");
-  FaultInjector inj(spec);
   pm.AttachFaults(&inj);
 
   std::vector<uint8_t> payload(kChunk, 0xAB);
@@ -559,16 +603,16 @@ TEST(PersistFaultTest, InjectedShortWriteFailsTheCommit) {
 }
 
 TEST(PersistFaultTest, InjectedFsyncFailureFailsCriticalCommit) {
+  // Declared before the manager, so it outlives the manager's final sync.
+  FaultSpec spec = MustParse(R"({"rules": [
+    {"site": "persist.fsync", "probability": 1.0, "max_triggers": 1}]})");
+  FaultInjector inj(spec);
   PersistenceConfig cfg;
   cfg.data_dir = ScratchDir("fsync");
   cfg.sync_critical = true;
   auto opened = PersistenceManager::Open(cfg);
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
   auto& pm = **opened;
-
-  FaultSpec spec = MustParse(R"({"rules": [
-    {"site": "persist.fsync", "probability": 1.0, "max_triggers": 1}]})");
-  FaultInjector inj(spec);
   pm.AttachFaults(&inj);
 
   std::vector<uint8_t> payload(kChunk, 0xCD);

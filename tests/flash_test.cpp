@@ -2,6 +2,7 @@
 // failure & replacement, and the array wrapper.
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "flash/flash_array.h"
 #include "flash/flash_device.h"
 
@@ -33,6 +34,23 @@ TEST(FlashDeviceTest, WriteReadRoundTrip) {
   auto read = dev.ReadSlot(*slot);
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(std::equal(read->begin(), read->end(), payload.begin(), payload.end()));
+}
+
+// A caller-supplied CRC is stored as given and verified on every read: the
+// device checks what the caller claimed, not what it was handed.
+TEST(FlashDeviceTest, CallerSuppliedCrcIsVerifiedOnRead) {
+  FlashDevice dev(SmallDevice());
+  auto payload = Bytes(64, 0x5A);
+  auto good = dev.AllocateSlot(4096);
+  auto bad = dev.AllocateSlot(4096);
+  ASSERT_TRUE(good.ok());
+  ASSERT_TRUE(bad.ok());
+  ASSERT_TRUE(dev.WriteSlot(*good, payload, Crc32c(payload)).ok());
+  ASSERT_TRUE(dev.WriteSlot(*bad, payload, Crc32c(payload) ^ 1u).ok());
+  auto read = dev.ReadSlot(*good);
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(std::equal(read->begin(), read->end(), payload.begin(), payload.end()));
+  EXPECT_EQ(dev.ReadSlot(*bad).code(), ErrorCode::kCorrupted);
 }
 
 TEST(FlashDeviceTest, SpaceAccounting) {
