@@ -5,21 +5,23 @@
 //   $ ./build/examples/object_fs
 #include <cstdio>
 
-#include "core/data_plane.h"
+#include "flash/flash_array.h"
+#include "node/node_stack.h"
 #include "osd/exofs.h"
 
 using namespace reo;
 
 int main() {
   // Substrate: 5 devices, Reo policy, OSD target + initiator session.
-  FlashDeviceConfig dev;
-  dev.capacity_bytes = 64ULL << 20;
-  FlashArray array(5, dev);
-  StripeManager stripes(array, {.chunk_logical_bytes = 16 * 1024, .scale_shift = 0});
-  ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                .reo_reserve_fraction = 0.3}));
-  OsdTarget target(plane);
-  OsdInitiator initiator(target);
+  auto node = NodeStack::Open({
+      .device = {.capacity_bytes = 64ULL << 20},
+      .stripes = {.chunk_logical_bytes = 16 * 1024},
+      .policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.3},
+  });
+  if (!node.ok()) return 1;
+  FlashArray& array = (*node)->array();
+  StripeManager& stripes = (*node)->stripes();
+  OsdInitiator initiator((*node)->target());
   ExofsClient fs(initiator, [&](uint64_t l) { return stripes.PhysicalSize(l); });
 
   if (!fs.MkFs(array.total_capacity_bytes(), 0).ok()) {

@@ -6,28 +6,28 @@
 
 #include "core/cache_manager.h"
 #include "common/units.h"
+#include "node/node_stack.h"
 
 using namespace reo;
 
 int main() {
-  // 1. Substrate: five simulated flash SSDs of 64 MiB each.
-  FlashDeviceConfig dev;
-  dev.capacity_bytes = 64ULL << 20;
-  FlashArray array(5, dev);
+  // 1. The target side: five simulated flash SSDs of 64 MiB each, striped
+  //    in 64 KiB chunks at full-size payloads, under the Reo policy
+  //    (differentiated redundancy with a 20 % reserve), behind an OSD
+  //    target.
+  auto node = NodeStack::Open({
+      .device = {.capacity_bytes = 64ULL << 20},
+      .stripes = {.chunk_logical_bytes = 64 * 1024},
+      .policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.20},
+  });
+  if (!node.ok()) return 1;
+  StripeManager& stripes = (*node)->stripes();
 
-  // 2. Stripe engine: 64 KiB chunks, full-size payloads (scale_shift 0).
-  StripeManager stripes(array, {.chunk_logical_bytes = 64 * 1024, .scale_shift = 0});
-
-  // 3. Reo policy: differentiated redundancy with a 20 % reserve.
-  ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                .reo_reserve_fraction = 0.20}));
-
-  // 4. OSD target + backend store + cache manager.
-  OsdTarget target(plane);
+  // 2. The initiator side: backend store + cache manager.
   BackendStore backend(HddConfig{}, NetworkLinkConfig{});
   CacheManagerConfig cache_cfg;
   cache_cfg.hhot_refresh_interval = 50;
-  CacheManager cache(target, plane, backend, cache_cfg);
+  CacheManager cache((*node)->target(), (*node)->plane(), backend, cache_cfg);
   cache.Initialize(0);
 
   // Populate a small backend catalog.

@@ -32,18 +32,10 @@
 #include <string>
 #include <vector>
 
-#include "admit/admission_tier.h"
 #include "common/file_util.h"
 #include "common/units.h"
-#include "core/data_plane.h"
-#include "core/policy.h"
-#include "fault/failslow.h"
-#include "fault/fault_injector.h"
 #include "fault/fault_spec.h"
-#include "flash/flash_array.h"
-#include "osd/osd_target.h"
-#include "persist/persistence.h"
-#include "persist/restore.h"
+#include "node/node_stack.h"
 #include "shard/sharded_server.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/time_series.h"
@@ -89,9 +81,6 @@ void Usage(const char* argv0) {
       "  --stats-out PATH     write the telemetry snapshot JSON on exit\n"
       "                       (multi-shard: the merged cross-shard snapshot)\n"
       "  --events-out PATH    write the event log text on exit\n"
-      "  --telemetry on|off   metric registration + time series + in-band\n"
-      "                       STATS/SERIES admin data (default on; off\n"
-      "                       leaves only HEALTH/EVENTS answering)\n"
       "  --trace-sample N     trace 1 in N requests into the per-stage\n"
       "                       latency histograms; 0 disables (default 64).\n"
       "                       Ignored with --shards N > 1\n"
@@ -119,40 +108,21 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-/// One shard's full serving stack.
-struct ShardStack {
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
-  std::unique_ptr<AdmissionTier> admit;
-  std::unique_ptr<OsdTarget> target;
-  std::unique_ptr<MetricRegistry> telemetry;
-  std::unique_ptr<FaultInjector> injector;
-  std::unique_ptr<FailSlowDetector> failslow;
-  std::unique_ptr<PersistenceManager> persist;
-  std::unique_ptr<ClusterDirectory> cluster;  ///< --node-id only
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ShardedServerConfig server_cfg;
-  PolicyConfig policy{.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2};
+  // The node-wide stack config; ShardConfig derives each shard's.
+  NodeStackConfig node{
+      .stripes = {.chunk_logical_bytes = 64 * 1024,
+                  .capacity_limit_bytes = 256ull << 20},
+      .policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.2},
+  };
   size_t num_shards = 1;
-  size_t num_devices = 5;
-  uint64_t capacity_bytes = 256ull << 20;
-  uint64_t chunk_bytes = 64 * 1024;
-  uint32_t scale_shift = 0;
   std::string port_file, stats_out, events_out;
-  PersistenceConfig persist_cfg;
-  FaultSpec fault_spec;
-  bool telemetry_on = true;
-  bool cluster_on = false;
-  uint32_t node_id = 0;
   uint64_t trace_sample = 64;
   uint64_t series_window_ms = 1000;
   size_t series_windows = 300;
-  AdmissionConfig admit_cfg;
 
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
@@ -188,31 +158,31 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--port-file")) {
       port_file = next();
     } else if (!std::strcmp(argv[i], "--node-id")) {
-      node_id = static_cast<uint32_t>(number(0, UINT32_MAX));
-      cluster_on = true;
+      node.node_id = static_cast<uint32_t>(number(0, UINT32_MAX));
     } else if (!std::strcmp(argv[i], "--shards")) {
       num_shards = std::max<uint64_t>(number(), 1);
     } else if (!std::strcmp(argv[i], "--policy")) {
       std::string p = next();
-      if (p == "reo") policy.mode = ProtectionMode::kReo;
-      else if (p == "0-parity") policy.mode = ProtectionMode::kUniform0;
-      else if (p == "1-parity") policy.mode = ProtectionMode::kUniform1;
-      else if (p == "2-parity") policy.mode = ProtectionMode::kUniform2;
-      else if (p == "full-repl") policy.mode = ProtectionMode::kFullReplication;
+      if (p == "reo") node.policy.mode = ProtectionMode::kReo;
+      else if (p == "0-parity") node.policy.mode = ProtectionMode::kUniform0;
+      else if (p == "1-parity") node.policy.mode = ProtectionMode::kUniform1;
+      else if (p == "2-parity") node.policy.mode = ProtectionMode::kUniform2;
+      else if (p == "full-repl")
+        node.policy.mode = ProtectionMode::kFullReplication;
       else {
         std::fprintf(stderr, "unknown policy %s\n", p.c_str());
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--reserve")) {
-      policy.reo_reserve_fraction = std::atof(next());
+      node.policy.reo_reserve_fraction = std::atof(next());
     } else if (!std::strcmp(argv[i], "--devices")) {
-      num_devices = number(1);
+      node.devices = number(1);
     } else if (!std::strcmp(argv[i], "--capacity-mb")) {
-      capacity_bytes = number(0, UINT64_MAX >> 20) << 20;
+      node.stripes.capacity_limit_bytes = number(0, UINT64_MAX >> 20) << 20;
     } else if (!std::strcmp(argv[i], "--chunk-kb")) {
-      chunk_bytes = number(1, UINT64_MAX / 1024) * 1024;
+      node.stripes.chunk_logical_bytes = number(1, UINT64_MAX / 1024) * 1024;
     } else if (!std::strcmp(argv[i], "--scale-shift")) {
-      scale_shift = static_cast<uint32_t>(number(0, 63));
+      node.stripes.scale_shift = static_cast<uint32_t>(number(0, 63));
     } else if (!std::strcmp(argv[i], "--max-connections")) {
       server_cfg.max_connections = number();
     } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
@@ -221,14 +191,6 @@ int main(int argc, char** argv) {
       stats_out = next();
     } else if (!std::strcmp(argv[i], "--events-out")) {
       events_out = next();
-    } else if (!std::strcmp(argv[i], "--telemetry")) {
-      std::string v = next();
-      if (v == "on") telemetry_on = true;
-      else if (v == "off") telemetry_on = false;
-      else {
-        std::fprintf(stderr, "--telemetry wants on|off, got %s\n", v.c_str());
-        return 2;
-      }
     } else if (!std::strcmp(argv[i], "--trace-sample")) {
       trace_sample = number();
     } else if (!std::strcmp(argv[i], "--series-window-ms")) {
@@ -236,21 +198,22 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--series-windows")) {
       series_windows = std::max<uint64_t>(number(), 1);
     } else if (!std::strcmp(argv[i], "--data-dir")) {
-      persist_cfg.data_dir = next();
+      node.persistence.data_dir = next();
     } else if (!std::strcmp(argv[i], "--fsync-batch")) {
-      persist_cfg.fsync_batch_records = number();
+      node.persistence.fsync_batch_records = number();
     } else if (!std::strcmp(argv[i], "--checkpoint-interval")) {
-      persist_cfg.checkpoint_interval_records = number();
+      node.persistence.checkpoint_interval_records = number();
     } else if (!std::strcmp(argv[i], "--dram-mb")) {
-      admit_cfg.dram_bytes = number(0, UINT64_MAX / kMiB) * kMiB;
+      node.admission.dram_bytes = number(0, UINT64_MAX / kMiB) * kMiB;
     } else if (!std::strcmp(argv[i], "--admission")) {
       const char* p = next();
-      if (!ParseAdmissionPolicy(p, &admit_cfg.policy)) {
+      if (!ParseAdmissionPolicy(p, &node.admission.policy)) {
         std::fprintf(stderr, "unknown admission policy %s\n", p);
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--flash-write-budget")) {
-      admit_cfg.flash_write_budget_bps = number(0, UINT64_MAX / kMiB) * kMiB;
+      node.admission.flash_write_budget_bps =
+          number(0, UINT64_MAX / kMiB) * kMiB;
     } else if (!std::strcmp(argv[i], "--fault-spec")) {
       auto spec = LoadFaultSpecFile(next());
       if (!spec.ok()) {
@@ -258,7 +221,7 @@ int main(int argc, char** argv) {
                      spec.status().to_string().c_str());
         return 2;
       }
-      fault_spec = std::move(*spec);
+      node.faults = std::move(*spec);
     } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       Usage(argv[0]);
       return 0;
@@ -272,152 +235,76 @@ int main(int argc, char** argv) {
   // Tracer holds a single active context, so per-stage tracing runs only
   // at 1 shard, where one worker thread executes every command. With
   // shards it would need one tracer per shard and a per-shard span merge.
-  bool tracing_on = telemetry_on && trace_sample > 0 && num_shards == 1;
+  bool tracing_on = trace_sample > 0 && num_shards == 1;
 
   EventLog events;  // shared: thread-safe, global ticket order across shards
   TimeSeriesRing series(TimeSeriesConfig{
       .window_ns = series_window_ms * 1'000'000, .capacity = series_windows});
   Tracer tracer(TracerConfig{.sample_every = trace_sample});
 
-  // Budgets split evenly across shards (each shard is an independent
-  // stack over its hash slice of the object space).
-  uint64_t shard_capacity = capacity_bytes / num_shards;
-  AdmissionConfig shard_admit_cfg = admit_cfg;
-  shard_admit_cfg.dram_bytes = admit_cfg.dram_bytes / num_shards;
-
-  // The production stack(s), same wiring as the simulator minus the
-  // replay harness: every byte a client writes lands in a striped flash
-  // array under the selected protection policy.
-  std::vector<ShardStack> stacks(num_shards);
+  // One NodeStack per shard, each an independent stack over its hash
+  // slice of the object space. Durable state opens (running crash
+  // recovery) and replays its objects back through the stack in class
+  // order, shard by shard.
+  std::vector<std::unique_ptr<NodeStack>> nodes;
+  std::vector<OsdTarget*> targets;
+  std::vector<MetricRegistry*> registries;
+  std::vector<const ClusterDirectory*> dirs;
   for (size_t k = 0; k < num_shards; ++k) {
-    ShardStack& s = stacks[k];
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = std::max<uint64_t>(shard_capacity, 4 * chunk_bytes);
-    s.array = std::make_unique<FlashArray>(num_devices, dev);
-    StripeManagerConfig smc;
-    smc.chunk_logical_bytes = chunk_bytes;
-    smc.scale_shift = scale_shift;
-    smc.capacity_limit_bytes = shard_capacity;
-    s.stripes = std::make_unique<StripeManager>(*s.array, smc);
-    s.plane = std::make_unique<ReoDataPlane>(*s.stripes,
-                                             RedundancyPolicy(policy));
-    // DRAM admission tier: clean writes stage in DRAM and only graduate
-    // to flash when the admission policy says the eviction earned a
-    // flash write. Disabled (--dram-mb 0) the stack is byte-identical to
-    // the pre-tier one.
-    s.admit = std::make_unique<AdmissionTier>(shard_admit_cfg);
-    if (s.admit->enabled()) s.plane->AttachAdmission(*s.admit);
-    s.target = std::make_unique<OsdTarget>(*s.plane);
-
-    s.telemetry = std::make_unique<MetricRegistry>();
-    if (telemetry_on) {
-      s.array->AttachTelemetry(*s.telemetry);
-      s.plane->AttachTelemetry(*s.telemetry);
-      s.target->AttachTelemetry(*s.telemetry);
-      if (s.admit->enabled()) s.admit->AttachTelemetry(*s.telemetry);
+    auto opened = NodeStack::Open(ShardConfig(node, k, num_shards));
+    if (!opened.ok()) {
+      if (opened.status().code() == ErrorCode::kCorrupted) {
+        // Fail-stop on corrupt durable state: refuse to serve from a
+        // state image we cannot trust, and name the offending file so
+        // the operator can remove or restore it. Distinct exit code
+        // for CI.
+        std::fprintf(stderr, "reo_server: corrupt durable state: %s\n",
+                     opened.status().to_string().c_str());
+        return 3;
+      }
+      std::fprintf(stderr, "persistence open failed: %s\n",
+                   opened.status().to_string().c_str());
+      return 1;
     }
-    s.plane->AttachEvents(events);
-    if (s.admit->enabled()) s.admit->AttachEvents(events);
-
-    // Cluster mode: the per-shard directory holds this node's slice of
-    // the cluster's owner hints and recognizes refetch arrivals.
-    if (cluster_on) {
-      s.cluster = std::make_unique<ClusterDirectory>(node_id);
-      if (telemetry_on) s.cluster->AttachTelemetry(*s.telemetry);
-      s.cluster->AttachEvents(events);
-      s.target->AttachCluster(*s.cluster);
-    }
-
+    NodeStack& n = *nodes.emplace_back(std::move(*opened));
+    n.AttachEvents(events);
     // Per-stage latency attribution: sampled request traces feed
     // stage.<component>.span_us histograms. --trace-sample 0 turns it off.
     if (tracing_on) {
-      tracer.AttachStageMetrics(*s.telemetry);
-      s.array->AttachTracing(tracer);
-      s.stripes->AttachTracing(tracer);
-      s.plane->AttachTracing(tracer);
-      s.target->AttachTracing(tracer);
+      tracer.AttachStageMetrics(n.registry());
+      n.AttachTracing(tracer);
     }
-
-    // Chaos testing: deterministic fault injection into the device layer.
-    // The data plane's retry + in-place CRC repair is what keeps injected
-    // latent/transient faults invisible to wire clients. Each shard's
-    // injector reseeds so shards do not fail in lockstep.
-    if (!fault_spec.empty()) {
-      FaultSpec shard_spec = fault_spec;
-      shard_spec.seed += k;
-      s.injector = std::make_unique<FaultInjector>(shard_spec);
-      s.failslow = std::make_unique<FailSlowDetector>(
-          static_cast<uint32_t>(num_devices), FailSlowConfig{});
-      s.array->AttachFaults(s.injector.get(), s.failslow.get());
-      s.injector->AttachTelemetry(*s.telemetry);
-      s.injector->AttachEvents(events);
-      s.failslow->AttachTelemetry(*s.telemetry);
-      s.failslow->AttachEvents(events);
-      s.plane->ConfigureRetry(s.plane->retry_policy(), shard_spec.seed);
+    auto restored = n.Restore();
+    if (!restored.ok()) {
+      std::fprintf(stderr, "startup checkpoint failed: %s\n",
+                   restored.status().to_string().c_str());
+      return 1;
     }
-
-    // Durable state: open (running crash recovery), replay any recovered
-    // objects back through the stack in class order, then checkpoint so
-    // the next restart starts from a compact image. Each shard owns an
-    // independent journal directory; restores run shard-by-shard, class-
-    // ordered within each shard.
-    if (persist_cfg.enabled()) {
-      PersistenceConfig shard_persist_cfg = persist_cfg;
-      if (num_shards > 1) {
-        shard_persist_cfg.data_dir =
-            persist_cfg.data_dir + "/shard" + std::to_string(k);
-      }
-      auto opened = PersistenceManager::Open(shard_persist_cfg);
-      if (!opened.ok()) {
-        if (opened.status().code() == ErrorCode::kCorrupted) {
-          // Fail-stop on corrupt durable state: refuse to serve from a
-          // state image we cannot trust, and name the offending file so
-          // the operator can remove or restore it. Distinct exit code
-          // for CI.
-          std::fprintf(stderr, "reo_server: corrupt durable state: %s\n",
-                       opened.status().to_string().c_str());
-          return 3;
-        }
-        std::fprintf(stderr, "persistence open failed: %s\n",
-                     opened.status().to_string().c_str());
-        return 1;
-      }
-      s.persist = std::move(*opened);
-      if (s.injector) s.persist->AttachFaults(s.injector.get());
-      s.persist->AttachTelemetry(*s.telemetry);
-      s.persist->AttachEvents(events);
-      s.plane->AttachPersistence(s.persist.get());
-      if (s.persist->live_objects() > 0) {
-        RestoreReport rr =
-            RestoreToTarget(*s.persist, *s.target, shard_capacity, 0, &events);
-        std::printf(
-            "shard %zu: restored %llu objects (class0=%llu class1=%llu"
-            " class2=%llu class3=%llu, dirty_lost=%llu, verify_failures=%llu)"
-            " in %llu us\n",
-            k, static_cast<unsigned long long>(rr.total_restored()),
-            static_cast<unsigned long long>(rr.restored_per_class[0]),
-            static_cast<unsigned long long>(rr.restored_per_class[1]),
-            static_cast<unsigned long long>(rr.restored_per_class[2]),
-            static_cast<unsigned long long>(rr.restored_per_class[3]),
-            static_cast<unsigned long long>(rr.dirty_lost),
-            static_cast<unsigned long long>(rr.payload_verify_failures),
-            static_cast<unsigned long long>(rr.duration_us));
-      }
-      Status cp = s.persist->Checkpoint(0);
-      if (!cp.ok()) {
-        std::fprintf(stderr, "startup checkpoint failed: %s\n",
-                     cp.to_string().c_str());
-        return 1;
-      }
+    if (const std::optional<RestoreReport>& rr = *restored) {
+      std::printf(
+          "shard %zu: restored %llu objects (class0=%llu class1=%llu"
+          " class2=%llu class3=%llu, dirty_lost=%llu, verify_failures=%llu)"
+          " in %llu us\n",
+          k, static_cast<unsigned long long>(rr->total_restored()),
+          static_cast<unsigned long long>(rr->restored_per_class[0]),
+          static_cast<unsigned long long>(rr->restored_per_class[1]),
+          static_cast<unsigned long long>(rr->restored_per_class[2]),
+          static_cast<unsigned long long>(rr->restored_per_class[3]),
+          static_cast<unsigned long long>(rr->dirty_lost),
+          static_cast<unsigned long long>(rr->payload_verify_failures),
+          static_cast<unsigned long long>(rr->duration_us));
     }
+    targets.push_back(&n.target());
+    registries.push_back(&n.registry());
+    if (n.cluster() != nullptr) dirs.push_back(n.cluster());
   }
 
   // Phase-2 drain: every shard checkpoints its own journal on its own
   // loop thread once all in-flight work everywhere completed, so restart
   // replays a checkpoint instead of a long journal.
-  if (persist_cfg.enabled()) {
-    server_cfg.on_shard_drained = [&stacks, &events](size_t k) {
-      Status st = stacks[k].persist->Checkpoint(0);
+  if (node.persistence.enabled()) {
+    server_cfg.on_shard_drained = [&nodes, &events](size_t k) {
+      Status st = nodes[k]->persistence()->Checkpoint(0);
       if (!st.ok()) {
         Emit(&events, 0, EventSeverity::kError, "persist.checkpoint",
              "shutdown checkpoint failed",
@@ -425,39 +312,37 @@ int main(int argc, char** argv) {
       }
     };
   }
-  std::vector<OsdTarget*> targets;
-  std::vector<MetricRegistry*> registries;
-  std::vector<const ClusterDirectory*> dirs;
-  for (ShardStack& s : stacks) {
-    targets.push_back(s.target.get());
-    registries.push_back(s.telemetry.get());
-    if (cluster_on) dirs.push_back(s.cluster.get());
-  }
   ShardedServer server(targets, server_cfg);
   server.AttachEvents(events);
   // Live observability: per-window time series over the serving metrics,
-  // plus the in-band STATS/SERIES admin plane. HEALTH and EVENTS answer
-  // even with --telemetry off (dispatch does not depend on AttachAdmin).
-  if (telemetry_on) {
-    for (size_t k = 0; k < num_shards; ++k) {
-      server.AttachShardTelemetry(k, *stacks[k].telemetry);
-    }
-    // One whole-process ring: every column sums the same-named metric
-    // across shard registries, so reo_top's ratios stay correct.
-    TrackServingDefaults(registries, series, num_devices);
-    server.AttachAdmin(registries, &series);
+  // plus the in-band STATS/SERIES admin plane.
+  for (size_t k = 0; k < num_shards; ++k) {
+    server.AttachShardTelemetry(k, *registries[k]);
   }
+  // One whole-process ring: every column sums the same-named metric
+  // across shard registries, so reo_top's ratios stay correct.
+  TrackServingDefaults(registries, series, node.devices);
+  server.AttachAdmin(registries, &series);
   if (tracing_on) server.AttachShardTracing(0, tracer);
-  if (cluster_on) server.AttachCluster(std::move(dirs));
+  if (!dirs.empty()) server.AttachCluster(std::move(dirs));
   Status st = server.Listen();
   if (!st.ok()) {
     std::fprintf(stderr, "listen failed: %s\n", st.to_string().c_str());
     return 1;
   }
+  // Handlers go in before the port file appears: a script that signals
+  // as soon as it reads the port must get the graceful drain.
+  struct sigaction sa{};
+  sa.sa_handler = HandleShutdownSignal;
+  g_server = &server;
+  sigaction(SIGTERM, &sa, nullptr);
+  sigaction(SIGINT, &sa, nullptr);
+  signal(SIGPIPE, SIG_IGN);
   if (!port_file.empty()) {
     Status wf =
         WriteFileAtomic(port_file, std::to_string(server.port()) + "\n");
     if (!wf.ok()) {
+      g_server = nullptr;
       std::fprintf(stderr, "port file: %s\n", wf.to_string().c_str());
       return 1;
     }
@@ -466,21 +351,16 @@ int main(int argc, char** argv) {
               " %zu devices/shard, %llu MiB budget)\n",
               server_cfg.bind_address.c_str(), server.port(), num_shards,
               num_shards == 1 ? "" : "s",
-              std::string(to_string(policy.mode)).c_str(), num_devices,
-              static_cast<unsigned long long>(capacity_bytes >> 20));
-  if (stacks[0].admit->enabled()) {
+              std::string(to_string(node.policy.mode)).c_str(), node.devices,
+              static_cast<unsigned long long>(
+                  node.stripes.capacity_limit_bytes >> 20));
+  if (nodes[0]->admission_tier() != nullptr) {
     std::printf("dram admission tier: %llu MiB, policy %s\n",
-                static_cast<unsigned long long>(admit_cfg.dram_bytes >> 20),
-                std::string(to_string(admit_cfg.policy)).c_str());
+                static_cast<unsigned long long>(node.admission.dram_bytes >>
+                                                20),
+                std::string(to_string(node.admission.policy)).c_str());
   }
   std::fflush(stdout);
-
-  struct sigaction sa{};
-  sa.sa_handler = HandleShutdownSignal;
-  g_server = &server;
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-  signal(SIGPIPE, SIG_IGN);
 
   server.Run();
   g_server = nullptr;

@@ -10,19 +10,21 @@
 
 #include "core/cache_manager.h"
 #include "common/units.h"
+#include "node/node_stack.h"
 
 using namespace reo;
 
 int main() {
-  FlashDeviceConfig dev;
-  dev.capacity_bytes = 64ULL << 20;
-  FlashArray array(5, dev);
-  StripeManager stripes(array, {.chunk_logical_bytes = 64 * 1024, .scale_shift = 0});
-  ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                .reo_reserve_fraction = 0.4}));
-  OsdTarget target(plane);
+  auto node = NodeStack::Open({
+      .device = {.capacity_bytes = 64ULL << 20},
+      .stripes = {.chunk_logical_bytes = 64 * 1024},
+      .policy = {.mode = ProtectionMode::kReo, .reo_reserve_fraction = 0.4},
+  });
+  if (!node.ok()) return 1;
+  StripeManager& stripes = (*node)->stripes();
   BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManager cache(target, plane, backend, CacheManagerConfig{});
+  CacheManager cache((*node)->target(), (*node)->plane(), backend,
+                     CacheManagerConfig{});
   cache.Initialize(0);
 
   const uint64_t kSize = 512 * 1024;

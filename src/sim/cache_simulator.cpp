@@ -3,132 +3,78 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "flash/flash_array.h"
+#include "osd/osd_target.h"
+
 namespace reo {
-
-void CacheSimulator::BuildShard(size_t index, uint64_t shard_capacity) {
-  shards_[index] = std::make_unique<ShardInstance>();
-  ShardInstance& s = *shards_[index];
-
-  // Devices are far larger than the cache budget (the paper's 5 x 120 GB
-  // array vs a ~1.7 GB configured cache): each simulated device could hold
-  // the whole budget, and the budget itself is enforced logically by the
-  // stripe manager. Failures therefore cost data, not allocatable space.
-  FlashDeviceConfig dev = config_.device;
-  dev.capacity_bytes = std::max<uint64_t>(shard_capacity,
-                                          4 * config_.chunk_logical_bytes);
-  s.array = std::make_unique<FlashArray>(config_.num_devices, dev);
-
-  StripeManagerConfig smc;
-  smc.chunk_logical_bytes = config_.chunk_logical_bytes;
-  smc.scale_shift = config_.scale_shift;
-  smc.capacity_limit_bytes = shard_capacity;
-  s.stripes = std::make_unique<StripeManager>(*s.array, smc);
-
-  s.plane = std::make_unique<ReoDataPlane>(*s.stripes,
-                                           RedundancyPolicy(config_.policy));
-  s.target = std::make_unique<OsdTarget>(*s.plane);
-  s.backend = std::make_unique<BackendStore>(config_.hdd, config_.net);
-
-  if (config_.persistence.enabled()) {
-    // Each shard journals independently (shard K under data_dir/shardK
-    // when sharded, flat when not — matching reo_server's layout).
-    PersistenceConfig pc = config_.persistence;
-    if (shards_.size() > 1) {
-      pc.data_dir += "/shard" + std::to_string(index);
-    }
-    auto persist = PersistenceManager::Open(pc);
-    // Simulator runs treat an unopenable data dir as a configuration
-    // error; the REO_CHECK keeps misconfigured benches from silently
-    // running without the durability they asked for.
-    REO_CHECK(persist.ok());
-    s.persist = std::move(*persist);
-    s.persist->AttachTelemetry(s.telemetry);
-    s.plane->AttachPersistence(s.persist.get());
-  }
-
-  if (!config_.faults.empty()) {
-    // Deterministic fault injection: per-site seeded streams, so the same
-    // spec + seed reproduces the exact same fault sequence (DESIGN.md
-    // "Fault model & partial-failure handling"). Shard K reseeds with
-    // seed + K so shards do not fault in lockstep.
-    FaultSpec spec = config_.faults;
-    spec.seed += index;
-    s.injector = std::make_unique<FaultInjector>(spec);
-    s.failslow = std::make_unique<FailSlowDetector>(
-        static_cast<uint32_t>(config_.num_devices), config_.failslow);
-    s.array->AttachFaults(s.injector.get(), s.failslow.get());
-    s.backend->AttachFaults(s.injector.get());
-    if (s.persist) s.persist->AttachFaults(s.injector.get());
-    s.injector->AttachTelemetry(s.telemetry);
-    s.failslow->AttachTelemetry(s.telemetry);
-    // Seed the retry backoff jitter from the fault seed so the whole
-    // failure/recovery interleaving is reproducible.
-    s.plane->ConfigureRetry(s.plane->retry_policy(), spec.seed);
-  }
-
-  CacheManagerConfig cmc = config_.cache;
-  cmc.verify_hits = config_.verify_hits;
-  cmc.failslow_demote = config_.failslow_demote;
-  s.cache = std::make_unique<CacheManager>(*s.target, *s.plane, *s.backend,
-                                           cmc);
-  if (s.persist) s.cache->AttachPersistence(s.persist.get());
-  if (s.failslow) s.cache->AttachFaultDetector(s.failslow.get());
-
-  if (config_.admission.dram_bytes > 0) {
-    AdmissionConfig ac = config_.admission;
-    ac.dram_bytes = config_.admission.dram_bytes / shards_.size();
-    s.admit = std::make_unique<AdmissionTier>(ac);
-    s.plane->AttachAdmission(*s.admit);
-    // Graduating objects classify from observed hotness, not the staged
-    // cold-start guess.
-    s.cache->AttachAdmission(*s.admit);
-  }
-
-  if (config_.wire_transport) {
-    s.transport = std::make_unique<OsdTransport>(*s.target, config_.net);
-    s.cache->initiator_mutable().UseTransport(s.transport.get());
-  }
-
-  // Attach every layer to the shard's registry (the cache manager attaches
-  // its recovery scheduler itself).
-  s.array->AttachTelemetry(s.telemetry);
-  s.plane->AttachTelemetry(s.telemetry);
-  s.target->AttachTelemetry(s.telemetry);
-  s.cache->AttachTelemetry(s.telemetry);
-  if (s.transport) s.transport->AttachTelemetry(s.telemetry);
-  if (s.admit) s.admit->AttachTelemetry(s.telemetry);
-
-  if (config_.enable_tracing) {
-    // The cache manager fans out to the data plane (stripes + flash
-    // devices) and the backend; the target and wire transport attach here.
-    // Replay is single-threaded, so every shard can share the one tracer.
-    s.cache->AttachTracing(tracer_);
-    s.target->AttachTracing(tracer_);
-    if (s.transport) s.transport->AttachTracing(tracer_);
-    if (s.persist) s.persist->AttachEvents(tracer_.events());
-    // Partial-failure milestones (retry exhaustion, CRC repairs, scrub
-    // findings, fail-slow flags) land in the same event log.
-    s.plane->AttachEvents(tracer_.events());
-    if (s.injector) s.injector->AttachEvents(tracer_.events());
-    if (s.failslow) s.failslow->AttachEvents(tracer_.events());
-    if (s.admit) s.admit->AttachEvents(tracer_.events());
-  }
-}
 
 CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
     : trace_(trace),
       config_(std::move(config)),
       tracer_(config_.tracer),
       router_(config_.shards == 0 ? 1 : config_.shards) {
-  uint64_t dataset = trace_.catalog.TotalBytes();
-  uint64_t raw_capacity = static_cast<uint64_t>(
-      config_.cache_fraction * static_cast<double>(dataset));
-
   // Capacity splits evenly: each shard serves ~1/N of the dataset (hash
   // partition), so its slice keeps the configured cache fraction.
-  shards_.resize(router_.num_shards());
-  uint64_t shard_capacity = raw_capacity / shards_.size();
-  for (size_t k = 0; k < shards_.size(); ++k) BuildShard(k, shard_capacity);
+  uint64_t dataset = trace_.catalog.TotalBytes();
+  NodeStackConfig node_cfg{
+      .devices = config_.num_devices,
+      .device = config_.device,
+      .stripes = {.chunk_logical_bytes = config_.chunk_logical_bytes,
+                  .scale_shift = config_.scale_shift,
+                  .capacity_limit_bytes = static_cast<uint64_t>(
+                      config_.cache_fraction * static_cast<double>(dataset))},
+      .policy = config_.policy,
+      .admission = config_.admission,
+      .persistence = config_.persistence,
+      .faults = config_.faults,
+      .failslow = config_.failslow,
+  };
+  CacheManagerConfig cmc = config_.cache;
+  cmc.verify_hits = config_.verify_hits;
+  cmc.failslow_demote = config_.failslow_demote;
+
+  const size_t shards = router_.num_shards();
+  for (size_t k = 0; k < shards; ++k) {
+    auto opened = NodeStack::Open(ShardConfig(node_cfg, k, shards));
+    // Simulator runs treat an unopenable data dir as a configuration
+    // error; the REO_CHECK keeps misconfigured benches from silently
+    // running without the durability they asked for.
+    REO_CHECK(opened.ok());
+    NodeStack& node = *nodes_.emplace_back(std::move(*opened));
+
+    // The initiator side: backend, cache manager, optional wire transport.
+    // The optional layers the node lacks attach as null (off).
+    BackendStore& backend = *backends_.emplace_back(
+        std::make_unique<BackendStore>(config_.hdd, config_.net));
+    backend.AttachFaults(node.fault_injector());
+    CacheManager& cache = *caches_.emplace_back(std::make_unique<CacheManager>(
+        node.target(), node.plane(), backend, cmc));
+    cache.AttachPersistence(node.persistence());
+    cache.AttachFaultDetector(node.failslow_detector());
+    // Graduating objects classify from observed hotness, not the staged
+    // cold-start guess.
+    if (node.admission_tier()) cache.AttachAdmission(*node.admission_tier());
+    OsdTransport* transport = nullptr;
+    if (config_.wire_transport) {
+      transport = transports_
+                      .emplace_back(std::make_unique<OsdTransport>(
+                          node.target(), config_.net))
+                      .get();
+      cache.initiator_mutable().UseTransport(transport);
+      transport->AttachTelemetry(node.registry());
+    }
+    // The cache manager attaches its recovery scheduler itself.
+    cache.AttachTelemetry(node.registry());
+
+    if (config_.enable_tracing) {
+      // The cache manager adds its own track and the backend's. Replay is
+      // single-threaded, so every shard shares the one tracer.
+      node.AttachTracing(tracer_);
+      node.AttachEvents(tracer_.events());
+      cache.AttachTracing(tracer_);
+      if (transport) transport->AttachTracing(tracer_);
+    }
+  }
 
   if (config_.enable_tracing) sim_ev_ = &tracer_.events();
 
@@ -136,10 +82,11 @@ CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
   for (uint32_t i = 0; i < trace_.catalog.count(); ++i) {
     ObjectId id = ObjectCatalog::IdFor(i);
     uint64_t logical = trace_.catalog.sizes[i];
-    ShardInstance& s = *shards_[router_.ShardOf(id)];
-    s.backend->RegisterObject(id, logical, s.stripes->PhysicalSize(logical));
+    size_t k = router_.ShardOf(id);
+    backends_[k]->RegisterObject(id, logical,
+                                 nodes_[k]->stripes().PhysicalSize(logical));
   }
-  for (auto& s : shards_) s->cache->Initialize(clock_.now());
+  for (auto& cache : caches_) cache->Initialize(clock_.now());
 }
 
 CacheSimulator::~CacheSimulator() = default;
@@ -177,8 +124,8 @@ RunReport CacheSimulator::Run() {
            "scripted device failure",
            {{"device", std::to_string(config_.failures[next_failure].device)},
             {"request", std::to_string(i)}});
-      for (auto& s : shards_) {
-        s->cache->OnDeviceFailure(config_.failures[next_failure].device,
+      for (auto& cache : caches_) {
+        cache->OnDeviceFailure(config_.failures[next_failure].device,
                                   clock_.now());
       }
       ++failed_so_far;
@@ -204,8 +151,8 @@ RunReport CacheSimulator::Run() {
            "scripted spare insertion",
            {{"device", std::to_string(config_.spares[next_spare].device)},
             {"request", std::to_string(i)}});
-      for (auto& s : shards_) {
-        s->cache->OnSpareInserted(config_.spares[next_spare].device,
+      for (auto& cache : caches_) {
+        cache->OnSpareInserted(config_.spares[next_spare].device,
                                   clock_.now());
       }
       ++next_spare;
@@ -235,8 +182,8 @@ RunReport CacheSimulator::Run() {
     // still repair it (the scrub itself charges device time).
     if (config_.scrub_interval_requests > 0 &&
         (i + 1) % config_.scrub_interval_requests == 0) {
-      for (auto& s : shards_) {
-        auto scrub = s->cache->RunScrub(clock_.now());
+      for (auto& cache : caches_) {
+        auto scrub = cache->RunScrub(clock_.now());
         server_free_ = std::max(server_free_, scrub.complete);
       }
       clock_.AdvanceTo(server_free_);
@@ -249,9 +196,9 @@ RunReport CacheSimulator::Run() {
   report.total = metrics.total();
   report.windows = metrics.windows();
   report.dataset_bytes = trace_.catalog.TotalBytes();
-  for (auto& sp : shards_) {
-    ShardInstance& s = *sp;
-    CacheStats cs = s.cache->stats();
+  for (size_t k = 0; k < nodes_.size(); ++k) {
+    NodeStack& node = *nodes_[k];
+    CacheStats cs = caches_[k]->stats();
     report.cache.gets += cs.gets;
     report.cache.hits += cs.hits;
     report.cache.misses += cs.misses;
@@ -265,12 +212,12 @@ RunReport CacheSimulator::Run() {
     report.cache.reclassifications += cs.reclassifications;
     report.cache.verify_failures += cs.verify_failures;
     report.cache.uncacheable += cs.uncacheable;
-    SpaceStats ss = s.stripes->Space();
+    SpaceStats ss = node.stripes().Space();
     report.space.user_bytes += ss.user_bytes;
     report.space.redundancy_bytes += ss.redundancy_bytes;
     report.space.capacity_bytes += ss.capacity_bytes;
     report.space.free_bytes += ss.free_bytes;
-    OsdTargetStats os = s.target->stats();
+    OsdTargetStats os = node.target().stats();
     report.osd.commands += os.commands;
     report.osd.reads += os.reads;
     report.osd.read_misses += os.read_misses;
@@ -278,15 +225,15 @@ RunReport CacheSimulator::Run() {
     report.osd.control_messages += os.control_messages;
     report.osd.degraded_reads += os.degraded_reads;
     report.osd.sense_errors += os.sense_errors;
-    report.max_wear = std::max(report.max_wear, s.array->MaxWearFraction());
-    report.raw_capacity_bytes += s.array->total_capacity_bytes();
+    report.max_wear = std::max(report.max_wear, node.array().MaxWearFraction());
+    report.raw_capacity_bytes += node.array().total_capacity_bytes();
   }
-  if (shards_.size() == 1) {
-    report.telemetry = shards_[0]->telemetry.Snapshot();
+  if (nodes_.size() == 1) {
+    report.telemetry = nodes_[0]->registry().Snapshot();
   } else {
     std::vector<const MetricRegistry*> regs;
-    regs.reserve(shards_.size());
-    for (auto& s : shards_) regs.push_back(&s->telemetry);
+    regs.reserve(nodes_.size());
+    for (auto& node : nodes_) regs.push_back(&node->registry());
     report.telemetry = MetricRegistry::Merged(regs);
   }
   report.trace = tracer_.Stats();

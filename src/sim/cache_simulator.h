@@ -1,8 +1,9 @@
 // End-to-end experiment driver.
 //
-// Wires the whole system together — client trace, cache manager, OSD
-// target, differentiated-redundancy data plane, flash array, backend store
-// — under the virtual clock, replays a trace closed-loop, injects device
+// Wires the whole system together — the initiator side (cache manager,
+// backend store) over a NodeStack target side (OSD target,
+// differentiated-redundancy data plane, flash array) — under the virtual
+// clock, replays a client trace closed-loop, injects device
 // failures / spare insertions at scripted request indices (paper §VI.C),
 // and reports the paper's metrics.
 //
@@ -19,12 +20,12 @@
 #include <string>
 #include <vector>
 
-#include "admit/admission_tier.h"
 #include "backend/backend_store.h"
 #include "core/cache_manager.h"
 #include "fault/failslow.h"
-#include "fault/fault_injector.h"
 #include "fault/fault_spec.h"
+#include "node/node_stack.h"
+#include "osd/transport.h"
 #include "persist/persistence.h"
 #include "shard/shard_router.h"
 #include "sim/metrics.h"
@@ -161,64 +162,35 @@ class CacheSimulator {
   RunReport Run();
 
   /// Component access for integration tests and examples; with shards > 1
-  /// these answer for shard 0 (use shard_count()/cache_of() to reach the
-  /// rest).
-  CacheManager& cache() { return *shards_[0]->cache; }
-  StripeManager& stripes() { return *shards_[0]->stripes; }
-  FlashArray& array() { return *shards_[0]->array; }
-  BackendStore& backend() { return *shards_[0]->backend; }
-  OsdTarget& target() { return *shards_[0]->target; }
-  /// Live metric registry (all layers attached); snapshot at any time.
-  /// Shard 0's registry with shards > 1 (RunReport carries the merge).
-  MetricRegistry& telemetry() { return shards_[0]->telemetry; }
+  /// cache() answers for shard 0 (use shard_count()/cache_of() to reach
+  /// the rest).
+  CacheManager& cache() { return *caches_[0]; }
   /// Tracing sink (spans + event log). Inert unless `enable_tracing`;
   /// export with ChromeTraceJson / TraceReportText after Run().
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
-  /// Durable-state manager; null unless `persistence.data_dir` was set.
-  PersistenceManager* persistence() { return shards_[0]->persist.get(); }
-  /// Fault injector; null unless `faults` had rules.
-  FaultInjector* fault_injector() { return shards_[0]->injector.get(); }
-  /// Fail-slow detector; null unless `faults` had rules.
-  FailSlowDetector* failslow_detector() { return shards_[0]->failslow.get(); }
-  /// DRAM admission tier; null unless `admission.dram_bytes` was set.
-  AdmissionTier* admission_tier() { return shards_[0]->admit.get(); }
 
-  size_t shard_count() const { return shards_.size(); }
-  const ShardRouter& router() const { return router_; }
-  CacheManager& cache_of(size_t shard) { return *shards_[shard]->cache; }
-  OsdTarget& target_of(size_t shard) { return *shards_[shard]->target; }
+  size_t shard_count() const { return nodes_.size(); }
+  CacheManager& cache_of(size_t shard) { return *caches_[shard]; }
+  /// Shard `shard`'s target-side stack: array, stripes, data plane,
+  /// target, registry, and the optional fault/persistence/admission layers.
+  NodeStack& node(size_t shard) { return *nodes_[shard]; }
 
  private:
-  /// One shard's full stack; declaration order is destruction-safe
-  /// (registry before the components that cache pointers into it).
-  struct ShardInstance {
-    MetricRegistry telemetry;
-    std::unique_ptr<FlashArray> array;
-    std::unique_ptr<StripeManager> stripes;
-    std::unique_ptr<ReoDataPlane> plane;
-    std::unique_ptr<OsdTarget> target;
-    std::unique_ptr<OsdTransport> transport;  ///< only when wire_transport
-    std::unique_ptr<BackendStore> backend;
-    std::unique_ptr<PersistenceManager> persist;  ///< only when data_dir set
-    std::unique_ptr<FaultInjector> injector;      ///< only when faults set
-    std::unique_ptr<FailSlowDetector> failslow;   ///< only when faults set
-    std::unique_ptr<AdmissionTier> admit;  ///< only when dram_bytes > 0
-    std::unique_ptr<CacheManager> cache;
-  };
-
-  void BuildShard(size_t index, uint64_t shard_capacity);
   void ReplayUnmeasured();
-  CacheManager& Route(ObjectId id) {
-    return *shards_[router_.ShardOf(id)]->cache;
-  }
+  CacheManager& Route(ObjectId id) { return *caches_[router_.ShardOf(id)]; }
 
   const Trace& trace_;
   SimulationConfig config_;
 
   Tracer tracer_;
   ShardRouter router_;
-  std::vector<std::unique_ptr<ShardInstance>> shards_;
+  // Per shard: the target side, then the initiator side layered on it.
+  // Declaration order is destruction-safe (the caches go first).
+  std::vector<std::unique_ptr<NodeStack>> nodes_;
+  std::vector<std::unique_ptr<BackendStore>> backends_;
+  std::vector<std::unique_ptr<OsdTransport>> transports_;  ///< wire_transport
+  std::vector<std::unique_ptr<CacheManager>> caches_;
   /// Event sink for the injection script ("sim.*"); null when tracing off.
   EventLog* sim_ev_ = nullptr;
   SimClock clock_;

@@ -11,6 +11,7 @@
 #include "admit/admission_tier.h"
 #include "backend/backend_store.h"
 #include "core/data_plane.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -308,17 +309,8 @@ TEST(AdmissionTierTest, OversizedObjectIsRejected) {
 // ---------------------------------------------------------------------------
 
 struct PlaneFixture {
-  PlaneFixture() {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 256 * kChunk;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                    .reo_reserve_fraction = 0.2}));
-  }
+  PlaneFixture()
+      : node(TestNode(256 * kChunk, kChunk, ProtectionMode::kReo, 0.2)) {}
 
   Result<DataPlaneIo> Write(uint64_t n, uint64_t logical, uint8_t cls) {
     auto payload = BackendStore::SynthesizePayload(
@@ -326,9 +318,10 @@ struct PlaneFixture {
     return plane->WriteObject(Oid(n), payload, logical, cls, 0);
   }
 
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
+  std::unique_ptr<NodeStack> node;
+  FlashArray* array = &node->array();
+  StripeManager* stripes = &node->stripes();
+  ReoDataPlane* plane = &node->plane();
 };
 
 TEST(AdmissionPlaneTest, AdmitAllTierServesByteIdenticalReads) {

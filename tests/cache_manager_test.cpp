@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/cache_manager.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -17,17 +18,8 @@ ObjectId Oid(uint64_t n) { return ObjectId{kFirstUserId, 0x20000 + n}; }
 struct CacheFixture {
   explicit CacheFixture(ProtectionMode mode = ProtectionMode::kReo,
                         uint64_t device_capacity = 64 * kChunk,
-                        double reserve = 0.25) {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = device_capacity;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes,
-        RedundancyPolicy({.mode = mode, .reo_reserve_fraction = reserve}));
-    target = std::make_unique<OsdTarget>(*plane);
+                        double reserve = 0.25)
+      : node(TestNode(device_capacity, kChunk, mode, reserve)) {
     backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
     CacheManagerConfig cfg;
     cfg.hhot_refresh_interval = 10;
@@ -52,10 +44,11 @@ struct CacheFixture {
     return r;
   }
 
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
-  std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<NodeStack> node;
+  FlashArray* array = &node->array();
+  StripeManager* stripes = &node->stripes();
+  ReoDataPlane* plane = &node->plane();
+  OsdTarget* target = &node->target();
   std::unique_ptr<BackendStore> backend;
   std::unique_ptr<CacheManager> cache;
   std::unordered_map<uint64_t, uint64_t> sizes;

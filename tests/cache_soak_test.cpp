@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "core/cache_manager.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -24,17 +25,8 @@ ObjectId Oid(uint64_t n) { return ObjectId{kFirstUserId, 0x20000 + n}; }
 
 class CacheSoak : public ::testing::TestWithParam<uint64_t> {
  protected:
-  CacheSoak() {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 2 << 20;
-    array_ = std::make_unique<FlashArray>(5, dev);
-    stripes_ = std::make_unique<StripeManager>(
-        *array_,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane_ = std::make_unique<ReoDataPlane>(
-        *stripes_, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                     .reo_reserve_fraction = 0.25}));
-    target_ = std::make_unique<OsdTarget>(*plane_);
+  CacheSoak()
+      : node_(TestNode(2 << 20, kChunk, ProtectionMode::kReo, 0.25)) {
     backend_ = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
     CacheManagerConfig cfg;
     cfg.hhot_refresh_interval = 50;
@@ -50,10 +42,11 @@ class CacheSoak : public ::testing::TestWithParam<uint64_t> {
 
   static constexpr uint64_t kObjects = 48;
 
-  std::unique_ptr<FlashArray> array_;
-  std::unique_ptr<StripeManager> stripes_;
-  std::unique_ptr<ReoDataPlane> plane_;
-  std::unique_ptr<OsdTarget> target_;
+  std::unique_ptr<NodeStack> node_;
+  FlashArray* array_ = &node_->array();
+  StripeManager* stripes_ = &node_->stripes();
+  ReoDataPlane* plane_ = &node_->plane();
+  OsdTarget* target_ = &node_->target();
   std::unique_ptr<BackendStore> backend_;
   std::unique_ptr<CacheManager> cache_;
   std::unordered_map<uint64_t, uint64_t> sizes_;

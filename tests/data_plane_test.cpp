@@ -9,6 +9,7 @@
 
 #include "backend/backend_store.h"
 #include "core/data_plane.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -19,17 +20,8 @@ ObjectId Oid(uint64_t n) { return ObjectId{kFirstUserId, 0x20000 + n}; }
 
 struct PlaneFixture {
   explicit PlaneFixture(ProtectionMode mode, double reserve = 0.10,
-                        uint64_t device_capacity = 256 * kChunk) {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = device_capacity;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes,
-        RedundancyPolicy({.mode = mode, .reo_reserve_fraction = reserve}));
-  }
+                        uint64_t device_capacity = 256 * kChunk)
+      : node(TestNode(device_capacity, kChunk, mode, reserve)) {}
 
   Result<DataPlaneIo> Write(uint64_t n, uint64_t logical, uint8_t cls) {
     auto payload =
@@ -37,9 +29,10 @@ struct PlaneFixture {
     return plane->WriteObject(Oid(n), payload, logical, cls, 0);
   }
 
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
+  std::unique_ptr<NodeStack> node;
+  FlashArray* array = &node->array();
+  StripeManager* stripes = &node->stripes();
+  ReoDataPlane* plane = &node->plane();
 };
 
 TEST(ReoDataPlaneTest, ReoClassToLevelMapping) {
@@ -188,16 +181,14 @@ TEST(ReoDataPlaneTest, RecoveryFlag) {
 TEST(ReoDataPlaneTest, ReserveScalesWithCapacityLimit) {
   // With a capacity limit below the raw device capacity, the Reo-X%
   // reserve is X% of the *limit*, not of the devices.
-  FlashDeviceConfig dev;
-  dev.capacity_bytes = 1000 * kChunk;
-  FlashArray array(5, dev);
-  StripeManager stripes(array,
-                        StripeManagerConfig{.chunk_logical_bytes = kChunk,
-                                            .scale_shift = 0,
-                                            .capacity_limit_bytes = 100 * kChunk});
-  ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                .reo_reserve_fraction = 0.2}));
-  EXPECT_EQ(plane.reserve_bytes(), 20 * kChunk);
+  auto node = NodeStack::Open(
+                  {.device = {.capacity_bytes = 1000 * kChunk},
+                   .stripes = {.chunk_logical_bytes = kChunk,
+                               .capacity_limit_bytes = 100 * kChunk},
+                   .policy = {.mode = ProtectionMode::kReo,
+                              .reo_reserve_fraction = 0.2}})
+                  .value();
+  EXPECT_EQ(node->plane().reserve_bytes(), 20 * kChunk);
 }
 
 }  // namespace

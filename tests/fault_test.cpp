@@ -20,6 +20,7 @@
 #include "sim/cache_simulator.h"
 #include "trace/event_log.h"
 #include "workload/medisyn.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -248,18 +249,11 @@ TEST(FailSlowDetectorTest, ResetForgetsHistory) {
 /// Flash stack + data plane with a fault injector on the array.
 struct PlaneFixture {
   explicit PlaneFixture(FaultSpec spec,
-                        ProtectionMode mode = ProtectionMode::kReo) {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 1 << 20;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes,
-        RedundancyPolicy({.mode = mode, .reo_reserve_fraction = 0.25}));
+                        ProtectionMode mode = ProtectionMode::kReo)
+      : node(TestNode(1 << 20, kChunk, mode, 0.25)) {
+    // Non-standard on purpose: a fixed retry seed and an injector with no
+    // fail-slow detector, armed only when the spec has rules.
     plane->ConfigureRetry(RetryPolicy{}, /*seed=*/7);
-    plane->AttachTelemetry(registry);
     if (!spec.empty()) {
       injector = std::make_unique<FaultInjector>(std::move(spec));
       array->AttachFaults(injector.get(), nullptr);
@@ -273,15 +267,16 @@ struct PlaneFixture {
   }
 
   double Metric(const std::string& name) {
-    MetricSnapshot snapshot = registry.Snapshot();  // Find points into it
+    // Find points into the snapshot, so it must outlive the lookup.
+    MetricSnapshot snapshot = node->registry().Snapshot();
     const auto* e = snapshot.Find(name);
     return e != nullptr ? e->value : 0.0;
   }
 
-  MetricRegistry registry;
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
+  std::unique_ptr<NodeStack> node;
+  FlashArray* array = &node->array();
+  StripeManager* stripes = &node->stripes();
+  ReoDataPlane* plane = &node->plane();
   std::unique_ptr<FaultInjector> injector;
 };
 
@@ -415,18 +410,9 @@ TEST(TransientRetryTest, FailedOverwriteKeepsTheOldCopy) {
 // --- Cold-clean corruption at the cache layer -------------------------------
 
 struct CacheFaultFixture {
-  CacheFaultFixture() {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 64 * kChunk;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                    .reo_reserve_fraction = 0.25}));
+  CacheFaultFixture()
+      : node(TestNode(64 * kChunk, kChunk, ProtectionMode::kReo, 0.25)) {
     plane->ConfigureRetry(RetryPolicy{}, /*seed=*/7);
-    target = std::make_unique<OsdTarget>(*plane);
     backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
     CacheManagerConfig cfg;
     cfg.verify_hits = true;
@@ -447,10 +433,11 @@ struct CacheFaultFixture {
     return r;
   }
 
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
-  std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<NodeStack> node;
+  FlashArray* array = &node->array();
+  StripeManager* stripes = &node->stripes();
+  ReoDataPlane* plane = &node->plane();
+  OsdTarget* target = &node->target();
   std::unique_ptr<BackendStore> backend;
   std::unique_ptr<CacheManager> cache;
   std::unique_ptr<FaultInjector> injector;
@@ -649,11 +636,12 @@ TEST(FaultSimulationTest, SameSpecAndSeedReproducesTheRun) {
   RunReport ra = a.Run();
   RunReport rb = b.Run();
 
-  ASSERT_NE(a.fault_injector(), nullptr);
-  ASSERT_NE(b.fault_injector(), nullptr);
-  EXPECT_GT(a.fault_injector()->injected_total(), 0u);
+  ASSERT_NE(a.node(0).fault_injector(), nullptr);
+  ASSERT_NE(b.node(0).fault_injector(), nullptr);
+  EXPECT_GT(a.node(0).fault_injector()->injected_total(), 0u);
   // Identical fault sequence, record for record...
-  EXPECT_EQ(a.fault_injector()->history(), b.fault_injector()->history());
+  EXPECT_EQ(a.node(0).fault_injector()->history(),
+            b.node(0).fault_injector()->history());
   // ...and an identical run on top of it.
   EXPECT_EQ(ra.total.requests, rb.total.requests);
   EXPECT_EQ(ra.total.hits, rb.total.hits);

@@ -7,6 +7,7 @@
 #include "backend/backend_store.h"
 #include "core/data_plane.h"
 #include "osd/osd_initiator.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -16,25 +17,17 @@ constexpr uint64_t kChunk = 1024;
 ObjectId Oid(uint64_t n) { return ObjectId{kFirstUserId, 0x20000 + n}; }
 
 struct InitiatorFixture {
-  InitiatorFixture() {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 1 << 20;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                    .reo_reserve_fraction = 0.3}));
-    target = std::make_unique<OsdTarget>(*plane);
+  InitiatorFixture()
+      : node(TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3)) {
     initiator = std::make_unique<OsdInitiator>(*target);
     EXPECT_TRUE(initiator->FormatOsd(5 << 20).ok());
   }
 
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
-  std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<NodeStack> node;
+  FlashArray* array = &node->array();
+  StripeManager* stripes = &node->stripes();
+  ReoDataPlane* plane = &node->plane();
+  OsdTarget* target = &node->target();
   std::unique_ptr<OsdInitiator> initiator;
 };
 

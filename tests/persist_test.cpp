@@ -20,6 +20,7 @@
 #include "sim/cache_simulator.h"
 #include "trace/event_log.h"
 #include "workload/medisyn.h"
+#include "node/node_stack.h"
 
 namespace reo {
 namespace {
@@ -319,20 +320,18 @@ TEST(PersistTest, RestoreOrderIsClassThenHotnessThenLsn) {
 
 // --- Full-stack restart restore -------------------------------------------
 
+/// A durable NodeStack over `persistence`, as reo_server opens one.
 struct Stack {
-  explicit Stack(uint64_t chunk = 4096, uint64_t capacity = 8ull << 20) {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = capacity;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array, StripeManagerConfig{.chunk_logical_bytes = chunk,
-                                    .scale_shift = 0,
-                                    .capacity_limit_bytes = capacity});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                    .reo_reserve_fraction = 0.5}));
-    target = std::make_unique<OsdTarget>(*plane);
-  }
+  explicit Stack(const PersistenceConfig& persistence)
+      : node(NodeStack::Open({.device = {.capacity_bytes = kCapacity},
+                              .stripes = {.chunk_logical_bytes = 4096,
+                                          .capacity_limit_bytes = kCapacity},
+                              .policy = {.mode = ProtectionMode::kReo,
+                                         .reo_reserve_fraction = 0.5},
+                              .persistence = persistence})
+                 .value()) {}
+
+  static constexpr uint64_t kCapacity = 8ull << 20;
 
   OsdResponse Format(uint64_t capacity) {
     OsdCommand cmd;
@@ -373,24 +372,21 @@ struct Stack {
     return target->Execute(cmd);
   }
 
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
-  std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<NodeStack> node;
+  OsdTarget* target = &node->target();
+  PersistenceManager* p = node->persistence();
 };
 
 TEST(PersistRestoreTest, ClassOrderedRestoreTimelineAndPayloads) {
   PersistenceConfig cfg;
   cfg.data_dir = ScratchDir("restore_timeline");
-  constexpr uint64_t kCapacity = 8ull << 20;
   constexpr size_t kBytes = 4096;
 
   // Phase 1: serve writes of every class through the real stack.
   {
-    Stack stack;
-    auto p = MustOpen(cfg);
-    stack.plane->AttachPersistence(p.get());
-    ASSERT_TRUE(stack.Format(kCapacity).ok());
+    Stack stack(cfg);
+    PersistenceManager* p = stack.p;
+    ASSERT_TRUE(stack.Format(Stack::kCapacity).ok());
     // Two objects per class; give the class-2 pair distinct hotness.
     uint64_t n = 0;
     for (uint8_t cls = 0; cls < 4; ++cls) {
@@ -404,14 +400,15 @@ TEST(PersistRestoreTest, ClassOrderedRestoreTimelineAndPayloads) {
     EXPECT_EQ(p->live_objects(), 8u);
   }
 
-  // Phase 2: "restart" — fresh stack, recover, replay in class order.
-  Stack stack;
-  auto p = MustOpen(cfg);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->live_objects(), 8u);
+  // Phase 2: "restart" — reopen the same config, recover, replay in
+  // class order.
+  Stack stack(cfg);
+  EXPECT_EQ(stack.p->live_objects(), 8u);
   EventLog events;
-  RestoreReport report =
-      RestoreToTarget(*p, *stack.target, kCapacity, /*now=*/0, &events);
+  stack.node->AttachEvents(events);
+  auto restored = stack.node->Restore();
+  ASSERT_TRUE(restored.ok() && restored->has_value());
+  const RestoreReport& report = **restored;
   EXPECT_EQ(report.total_restored(), 8u);
   for (int cls = 0; cls < 4; ++cls) {
     EXPECT_EQ(report.restored_per_class[cls], 2u) << "class " << cls;
@@ -456,12 +453,9 @@ TEST(PersistRestoreTest, ClassOrderedRestoreTimelineAndPayloads) {
 TEST(PersistRestoreTest, CorruptPayloadIsDroppedNotResurrected) {
   PersistenceConfig cfg;
   cfg.data_dir = ScratchDir("restore_drop");
-  constexpr uint64_t kCapacity = 8ull << 20;
   {
-    Stack stack;
-    auto p = MustOpen(cfg);
-    stack.plane->AttachPersistence(p.get());
-    ASSERT_TRUE(stack.Format(kCapacity).ok());
+    Stack stack(cfg);
+    ASSERT_TRUE(stack.Format(Stack::kCapacity).ok());
     for (uint64_t n = 0; n < 3; ++n) {
       ASSERT_TRUE(stack.CreateAndClassify(Oid(n), 4096, 2).ok());
       ASSERT_TRUE(stack.Write(Oid(n), Payload(n, 4096)).ok());
@@ -470,18 +464,15 @@ TEST(PersistRestoreTest, CorruptPayloadIsDroppedNotResurrected) {
   // Flip one payload byte of the first record (header is 56 bytes).
   FlipByte(cfg.data_dir + "/seg-000001.dat", 100);
 
-  Stack stack;
-  auto p = MustOpen(cfg);
-  EventLog events;
-  RestoreReport report =
-      RestoreToTarget(*p, *stack.target, kCapacity, 0, &events);
-  EXPECT_EQ(report.total_restored(), 2u);
-  EXPECT_EQ(report.payload_verify_failures, 1u);
+  Stack stack(cfg);
+  auto restored = stack.node->Restore();
+  ASSERT_TRUE(restored.ok() && restored->has_value());
+  EXPECT_EQ((*restored)->total_restored(), 2u);
+  EXPECT_EQ((*restored)->payload_verify_failures, 1u);
   // The drop was journaled as an eviction: a second restart must not see
   // the corrupt object again.
-  p.reset();
-  p = MustOpen(cfg);
-  EXPECT_EQ(p->live_objects(), 2u);
+  stack.node.reset();
+  EXPECT_EQ(MustOpen(cfg)->live_objects(), 2u);
 }
 
 // --- FORMAT through the target --------------------------------------------
@@ -489,15 +480,13 @@ TEST(PersistRestoreTest, CorruptPayloadIsDroppedNotResurrected) {
 TEST(PersistRestoreTest, FormatThroughTargetResetsDurableState) {
   PersistenceConfig cfg;
   cfg.data_dir = ScratchDir("format");
-  Stack stack;
-  auto p = MustOpen(cfg);
-  stack.plane->AttachPersistence(p.get());
+  Stack stack(cfg);
   ASSERT_TRUE(stack.Format(4ull << 20).ok());
   ASSERT_TRUE(stack.CreateAndClassify(Oid(0), 4096, 1).ok());
   ASSERT_TRUE(stack.Write(Oid(0), Payload(0, 4096)).ok());
-  EXPECT_EQ(p->live_objects(), 1u);
+  EXPECT_EQ(stack.p->live_objects(), 1u);
   ASSERT_TRUE(stack.Format(4ull << 20).ok());
-  EXPECT_EQ(p->live_objects(), 0u);
+  EXPECT_EQ(stack.p->live_objects(), 0u);
 }
 
 // --- Null-backend parity ---------------------------------------------------
@@ -539,7 +528,7 @@ TEST(PersistParityTest, DisabledPersistenceMatchesInMemoryRun) {
   EXPECT_DOUBLE_EQ(a.total.AvgLatencyMs(), b.total.AvgLatencyMs());
 
   // And the durable run really did persist the cache's current contents.
-  EXPECT_GT(durable.persistence()->live_objects(), 0u);
+  EXPECT_GT(durable.node(0).persistence()->live_objects(), 0u);
 }
 
 }  // namespace

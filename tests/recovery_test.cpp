@@ -10,6 +10,7 @@
 #include "core/cache_manager.h"
 #include "core/recovery_scheduler.h"
 #include "trace/tracer.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -93,21 +94,13 @@ TEST(RecoveryTimelineTest, EventLogShowsDifferentiatedOrder) {
   // (mode=on-demand), and the drain rebuilds the rest in nondecreasing
   // class order (mode=background), closed by "recovery.complete".
   constexpr uint64_t kChunk = 1024;
-  FlashDeviceConfig dev;
-  dev.capacity_bytes = 256 * kChunk;
-  auto array = std::make_unique<FlashArray>(5, dev);
-  auto stripes = std::make_unique<StripeManager>(
-      *array,
-      StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-  auto plane = std::make_unique<ReoDataPlane>(
-      *stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                  .reo_reserve_fraction = 0.25}));
-  auto target = std::make_unique<OsdTarget>(*plane);
+  auto node = TestNode(256 * kChunk, kChunk, ProtectionMode::kReo, 0.25);
+  StripeManager* stripes = &node->stripes();
   auto backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
   CacheManagerConfig cfg;
   cfg.hhot_refresh_interval = 10;
-  auto cache =
-      std::make_unique<CacheManager>(*target, *plane, *backend, cfg);
+  auto cache = std::make_unique<CacheManager>(node->target(), node->plane(),
+                                              *backend, cfg);
   Tracer tracer;
   cache->AttachTracing(tracer);
   cache->Initialize(0);

@@ -9,6 +9,7 @@
 #include "backend/backend_store.h"
 #include "common/rng.h"
 #include "core/cache_manager.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -225,15 +226,12 @@ TEST(ScrubberTest, ReplicatedObjectSurvivesManyCorruptions) {
 }
 
 TEST(ScrubberTest, CacheManagerEvictsScrubLosses) {
-  FlashDeviceConfig dev;
-  dev.capacity_bytes = 1 << 20;
-  FlashArray array(5, dev);
-  StripeManager stripes(array, {.chunk_logical_bytes = kChunk, .scale_shift = 0});
-  ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                .reo_reserve_fraction = 0.2}));
-  OsdTarget target(plane);
+  auto node = TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.2);
+  FlashArray& array = node->array();
+  StripeManager& stripes = node->stripes();
   BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManager cache(target, plane, backend, CacheManagerConfig{});
+  CacheManager cache(node->target(), node->plane(), backend,
+                     CacheManagerConfig{});
   cache.Initialize(0);
 
   backend.RegisterObject(Oid(1), 5 * kChunk, stripes.PhysicalSize(5 * kChunk));

@@ -221,7 +221,8 @@ TEST_F(ShardedServerTest, CrossShardRoundTripsOnOneConnection) {
   EXPECT_EQ(stats.decode_errors, 0u);
   // Every shard actually executed work (its own registry counted it).
   for (size_t k = 0; k < kShards; ++k) {
-    const auto* cmds = registries_[k]->Snapshot().Find("osd.commands");
+    MetricSnapshot snapshot = registries_[k]->Snapshot();  // Find points in
+    const auto* cmds = snapshot.Find("osd.commands");
     ASSERT_NE(cmds, nullptr) << "shard " << k;
     EXPECT_GT(cmds->value, 0.0) << "shard " << k;
   }
@@ -385,7 +386,8 @@ TEST_F(ShardedServerTest, GracefulDrainCompletesInflightOnEveryShard) {
   EXPECT_EQ(stats.forwarded, stats.forward_executed);
   // Every shard saw its share of the interleaved creates.
   for (size_t k = 0; k < kShards; ++k) {
-    const auto* cmds = registries_[k]->Snapshot().Find("osd.commands");
+    MetricSnapshot snapshot = registries_[k]->Snapshot();  // Find points in
+    const auto* cmds = snapshot.Find("osd.commands");
     ASSERT_NE(cmds, nullptr);
     EXPECT_GT(cmds->value, 0.0) << "shard " << k;
   }
@@ -517,7 +519,8 @@ TEST_F(ShardedServerTest, ControlWritesExecuteOnTargetsShard) {
 
   // And only shard 3's registry saw a control message.
   for (size_t k = 0; k < kShards; ++k) {
-    const auto* ctl = registries_[k]->Snapshot().Find("osd.control_messages");
+    MetricSnapshot snapshot = registries_[k]->Snapshot();  // Find points in
+    const auto* ctl = snapshot.Find("osd.control_messages");
     double got = ctl != nullptr ? ctl->value : 0.0;
     EXPECT_EQ(got, k == 3 ? 1.0 : 0.0) << "shard " << k;
   }

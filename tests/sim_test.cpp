@@ -2,6 +2,8 @@
 // failure events, probe windows, and simulator plumbing.
 #include <gtest/gtest.h>
 
+#include "flash/flash_array.h"
+#include "node/node_stack.h"
 #include "sim/cache_simulator.h"
 #include "sim/metrics.h"
 #include "workload/medisyn.h"
@@ -190,6 +192,22 @@ TEST(CacheSimulatorTest, ReportCarriesSystemState) {
   EXPECT_GT(report.space.user_bytes, 0u);
   EXPECT_NEAR(report.space.SpaceEfficiency(), 0.8, 0.05);
   EXPECT_FALSE(FormatReportRow(report).empty());
+
+  // The simulator's target side is a plain NodeStack: a bare one of the
+  // same geometry has the same array and the same stripe-level space.
+  auto bare = NodeStack::Open(ShardConfig(
+      {.stripes = {.chunk_logical_bytes = cfg.chunk_logical_bytes,
+                   .capacity_limit_bytes = static_cast<uint64_t>(
+                       cfg.cache_fraction * report.dataset_bytes)},
+       .policy = cfg.policy},
+      0, 1));
+  ASSERT_TRUE(bare.ok());
+  SpaceStats want = (*bare)->stripes().Space();
+  SpaceStats got = sim.node(0).stripes().Space();
+  EXPECT_EQ(report.raw_capacity_bytes, (*bare)->array().total_capacity_bytes());
+  EXPECT_EQ(got.capacity_bytes, want.capacity_bytes);
+  EXPECT_EQ(got.free_bytes + got.user_bytes + got.redundancy_bytes,
+            want.free_bytes);
 }
 
 // --- Sharded replay ---------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "trace/chrome_trace.h"
 #include "trace/json_lint.h"
 #include "trace/tracer.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -137,17 +138,8 @@ TEST(EventLogTest, BoundedKeepsEarliestAndLooksUpFields) {
 struct TracedFixture {
   explicit TracedFixture(ProtectionMode mode = ProtectionMode::kUniform1,
                          TracerConfig tcfg = {})
-      : tracer(tcfg) {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 256 * kChunk;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes,
-        RedundancyPolicy({.mode = mode, .reo_reserve_fraction = 0.25}));
-    target = std::make_unique<OsdTarget>(*plane);
+      : tracer(tcfg),
+        node(TestNode(256 * kChunk, kChunk, mode, 0.25)) {
     backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
     cache = std::make_unique<CacheManager>(*target, *plane, *backend,
                                            CacheManagerConfig{});
@@ -181,10 +173,11 @@ struct TracedFixture {
   }
 
   Tracer tracer;
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
-  std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<NodeStack> node;
+  FlashArray* array = &node->array();
+  StripeManager* stripes = &node->stripes();
+  ReoDataPlane* plane = &node->plane();
+  OsdTarget* target = &node->target();
   std::unique_ptr<BackendStore> backend;
   std::unique_ptr<CacheManager> cache;
   std::unique_ptr<OsdTransport> transport;

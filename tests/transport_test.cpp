@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/cache_manager.h"
 #include "osd/transport.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -138,17 +139,8 @@ TEST(TransportWireTest, FuzzDecodeNeverCrashes) {
 }
 
 struct WireStack {
-  WireStack() {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 1 << 20;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                    .reo_reserve_fraction = 0.3}));
-    target = std::make_unique<OsdTarget>(*plane);
+  WireStack()
+      : node(TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3)) {
     transport = std::make_unique<OsdTransport>(*target);
     backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
     cache = std::make_unique<CacheManager>(*target, *plane, *backend,
@@ -157,10 +149,11 @@ struct WireStack {
     cache->Initialize(0);
   }
 
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
-  std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<NodeStack> node;
+  FlashArray* array = &node->array();
+  StripeManager* stripes = &node->stripes();
+  ReoDataPlane* plane = &node->plane();
+  OsdTarget* target = &node->target();
   std::unique_ptr<OsdTransport> transport;
   std::unique_ptr<BackendStore> backend;
   std::unique_ptr<CacheManager> cache;
@@ -192,15 +185,11 @@ TEST(TransportStackTest, WireAddsLatency) {
   auto wire_hit = fx.cache->Get(Oid(1), 4 * kChunk, 10 * kNsPerSec);
 
   // Same stack without a transport: the in-process hit is faster.
-  FlashDeviceConfig dev;
-  dev.capacity_bytes = 1 << 20;
-  FlashArray array(5, dev);
-  StripeManager stripes(array, {.chunk_logical_bytes = kChunk, .scale_shift = 0});
-  ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                .reo_reserve_fraction = 0.3}));
-  OsdTarget target(plane);
+  auto node = TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3);
+  StripeManager& stripes = node->stripes();
   BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManager cache(target, plane, backend, CacheManagerConfig{});
+  CacheManager cache(node->target(), node->plane(), backend,
+                     CacheManagerConfig{});
   cache.Initialize(0);
   backend.RegisterObject(Oid(1), 4 * kChunk, stripes.PhysicalSize(4 * kChunk));
   (void)cache.Get(Oid(1), 4 * kChunk, 0);
@@ -214,17 +203,12 @@ TEST(TransportStackTest, WireAddsLatency) {
 // --- Write-through policy -------------------------------------------------------
 
 TEST(WritePolicyTest, WriteThroughPersistsImmediately) {
-  FlashDeviceConfig dev;
-  dev.capacity_bytes = 1 << 20;
-  FlashArray array(5, dev);
-  StripeManager stripes(array, {.chunk_logical_bytes = kChunk, .scale_shift = 0});
-  ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                .reo_reserve_fraction = 0.3}));
-  OsdTarget target(plane);
+  auto node = TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3);
+  StripeManager& stripes = node->stripes();
   BackendStore backend(HddConfig{}, NetworkLinkConfig{});
   CacheManagerConfig cfg;
   cfg.write_policy = WritePolicy::kWriteThrough;
-  CacheManager cache(target, plane, backend, cfg);
+  CacheManager cache(node->target(), node->plane(), backend, cfg);
   cache.Initialize(0);
   backend.RegisterObject(Oid(1), 3 * kChunk, stripes.PhysicalSize(3 * kChunk));
 
@@ -245,17 +229,12 @@ TEST(WritePolicyTest, WriteThroughPersistsImmediately) {
 
 TEST(WritePolicyTest, WriteThroughIsSlowerThanWriteBack) {
   auto run = [](WritePolicy policy) {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 1 << 20;
-    FlashArray array(5, dev);
-    StripeManager stripes(array, {.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    ReoDataPlane plane(stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                                  .reo_reserve_fraction = 0.3}));
-    OsdTarget target(plane);
+    auto node = TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3);
+    StripeManager& stripes = node->stripes();
     BackendStore backend(HddConfig{}, NetworkLinkConfig{});
     CacheManagerConfig cfg;
     cfg.write_policy = policy;
-    CacheManager cache(target, plane, backend, cfg);
+    CacheManager cache(node->target(), node->plane(), backend, cfg);
     cache.Initialize(0);
     backend.RegisterObject(Oid(1), 3 * kChunk, stripes.PhysicalSize(3 * kChunk));
     return cache.Put(Oid(1), 3 * kChunk, 0).latency;

@@ -10,6 +10,7 @@
 #include "core/data_plane.h"
 #include "osd/exofs.h"
 #include "osd/transport.h"
+#include "node_test_util.h"
 
 namespace reo {
 namespace {
@@ -17,17 +18,8 @@ namespace {
 constexpr uint64_t kChunk = 1024;
 
 struct WireFsFixture {
-  WireFsFixture() {
-    FlashDeviceConfig dev;
-    dev.capacity_bytes = 1 << 20;
-    array = std::make_unique<FlashArray>(5, dev);
-    stripes = std::make_unique<StripeManager>(
-        *array,
-        StripeManagerConfig{.chunk_logical_bytes = kChunk, .scale_shift = 0});
-    plane = std::make_unique<ReoDataPlane>(
-        *stripes, RedundancyPolicy({.mode = ProtectionMode::kReo,
-                                    .reo_reserve_fraction = 0.3}));
-    target = std::make_unique<OsdTarget>(*plane);
+  WireFsFixture()
+      : node(TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3)) {
     transport = std::make_unique<OsdTransport>(*target);
     initiator = std::make_unique<OsdInitiator>(*target);
     initiator->UseTransport(transport.get());
@@ -35,10 +27,11 @@ struct WireFsFixture {
         *initiator, [this](uint64_t l) { return stripes->PhysicalSize(l); });
   }
 
-  std::unique_ptr<FlashArray> array;
-  std::unique_ptr<StripeManager> stripes;
-  std::unique_ptr<ReoDataPlane> plane;
-  std::unique_ptr<OsdTarget> target;
+  std::unique_ptr<NodeStack> node;
+  FlashArray* array = &node->array();
+  StripeManager* stripes = &node->stripes();
+  ReoDataPlane* plane = &node->plane();
+  OsdTarget* target = &node->target();
   std::unique_ptr<OsdTransport> transport;
   std::unique_ptr<OsdInitiator> initiator;
   std::unique_ptr<ExofsClient> fs;
