@@ -152,7 +152,8 @@ int main(int argc, char** argv) {
       double dram_hit =
           dram_total > 0 ? Metric(r, "dram.hits") / dram_total * 100 : 0.0;
       double delta = all_wpo > 0 ? (wpo - all_wpo) / all_wpo * 100 : 0.0;
-      char dram_label[16], delta_label[16];
+      // 20 digits of a 64-bit count + "KiB" + NUL.
+      char dram_label[24], delta_label[16];
       std::snprintf(dram_label, sizeof(dram_label), "%lluKiB",
                     static_cast<unsigned long long>(dram_bytes / kKiB));
       std::snprintf(delta_label, sizeof(delta_label), "%+.1f%%", delta);

@@ -1,10 +1,9 @@
 #include "cluster/cluster_initiator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
-#include "osd/control_protocol.h"
+#include "osd/command_route.h"
 
 namespace reo {
 namespace {
@@ -13,29 +12,6 @@ OsdResponse FailResponse() {
   OsdResponse r;
   r.sense = SenseCode::kFail;
   return r;
-}
-
-/// Safe to replay on another replica: re-executing changes nothing.
-bool IdempotentRead(OsdOp op) {
-  return op == OsdOp::kRead || op == OsdOp::kGetAttr || op == OsdOp::kList ||
-         op == OsdOp::kListCollection;
-}
-
-/// Must execute on every member: each node holds a slice of every
-/// partition and collection (same reasoning as ShardRouter's fan-out).
-bool NamespaceWide(OsdOp op) {
-  return op == OsdOp::kFormat || op == OsdOp::kCreatePartition ||
-         op == OsdOp::kCreateCollection || op == OsdOp::kRemoveCollection ||
-         op == OsdOp::kList || op == OsdOp::kListCollection;
-}
-
-void MergeInto(OsdResponse& merged, OsdResponse&& part) {
-  if (merged.sense == SenseCode::kOk && part.sense != SenseCode::kOk) {
-    merged.sense = part.sense;
-  }
-  merged.complete = std::max(merged.complete, part.complete);
-  merged.degraded = merged.degraded || part.degraded;
-  merged.list.insert(merged.list.end(), part.list.begin(), part.list.end());
 }
 
 }  // namespace
@@ -188,53 +164,40 @@ std::optional<uint32_t> ClusterInitiator::LiveOwnerOf(ObjectId id) {
 }
 
 OsdResponse ClusterInitiator::FanOut(const OsdCommand& command) {
-  OsdResponse merged;
-  size_t served = 0;
+  std::vector<OsdResponse> parts;
+  parts.reserve(sessions_.size());
   for (uint32_t node = 0; node < sessions_.size(); ++node) {
     if (!health_.Usable(node) && !EnsureSession(node)) continue;
     bool transport_failure = false;
     OsdResponse part = RoundtripOn(node, command, &transport_failure);
-    if (transport_failure) continue;
-    MergeInto(merged, std::move(part));
-    ++served;
+    if (!transport_failure) parts.push_back(std::move(part));
   }
-  if (served == 0) return FailResponse();
-  std::sort(merged.list.begin(), merged.list.end());
-  merged.list.erase(std::unique(merged.list.begin(), merged.list.end()),
-                    merged.list.end());
-  return merged;
+  if (parts.empty()) return FailResponse();
+  return MergeFanOutResponses(parts);
 }
 
 OsdResponse ClusterInitiator::Roundtrip(const OsdCommand& command) {
   ++stats_.commands;
-  if (NamespaceWide(command.op)) return FanOut(command);
+  CommandRoute route = RouteCommand(command);
+  if (route.fan_out) return FanOut(command);
 
-  if (command.op == OsdOp::kWrite && command.id == kControlObject) {
-    auto msg = DecodeControlMessage(command.data);
-    if (msg.ok()) {
-      if (std::holds_alternative<NodeDownCommand>(*msg)) return FanOut(command);
-      if (const auto* q = std::get_if<QueryCommand>(&*msg)) {
-        if (q->target == kControlObject) return FanOut(command);
-        return RouteSingle(command, q->target);
-      }
-      if (const auto* set = std::get_if<SetIdCommand>(&*msg)) {
-        return RouteSingle(command, set->target);
-      }
-      if (const auto* hint = std::get_if<OwnerHintCommand>(&*msg)) {
-        // Hints belong on the target's ring successor relative to the
-        // recorded owner, so they survive the owner's death in place.
-        auto replicas = ring_.ReplicasOf(hint->target, sessions_.size());
-        for (uint32_t node : replicas) {
-          if (node == hint->owner) continue;
-          if (health_.Usable(node) || EnsureSession(node)) {
-            return RouteSingle(command, ObjectId{}, node);
-          }
-        }
-        return FailResponse();
-      }
+  if (route.control) {
+    if (const auto* set = std::get_if<SetIdCommand>(&*route.control)) {
+      return RouteSetId(command, *set);
     }
-    // Malformed: any node rejects it identically.
-    return RouteSingle(command, command.id);
+    if (const auto* hint = std::get_if<OwnerHintCommand>(&*route.control)) {
+      // Hints belong on the target's ring successor relative to the
+      // recorded owner, so they survive the owner's death in place.
+      auto replicas = ring_.ReplicasOf(hint->target, sessions_.size());
+      for (uint32_t node : replicas) {
+        if (node == hint->owner) continue;
+        if (health_.Usable(node) || EnsureSession(node)) {
+          return RouteSingle(command, ObjectId{}, node);
+        }
+      }
+      return FailResponse();
+    }
+    return RouteSingle(command, route.key);  // per-object #QUERY#
   }
 
   if (IdempotentRead(command.op)) {
@@ -257,9 +220,10 @@ OsdResponse ClusterInitiator::Roundtrip(const OsdCommand& command) {
   }
 
   // Write-side op: one attempt on the first usable replica, never
-  // blindly resent (the ack is the durability contract).
+  // blindly resent (the ack is the durability contract). A malformed
+  // control write lands here too; any node rejects it identically.
   ++stats_.writes;
-  return RouteSingle(command, command.id);
+  return RouteSingle(command, route.key);
 }
 
 OsdResponse ClusterInitiator::RouteSingle(const OsdCommand& command,
@@ -276,26 +240,24 @@ OsdResponse ClusterInitiator::RouteSingle(const OsdCommand& command,
   return resp;
 }
 
-OsdResponse ClusterInitiator::Classify(ObjectId id, uint8_t class_id) {
-  std::optional<uint32_t> node = PickNode(id);
+OsdResponse ClusterInitiator::RouteSetId(const OsdCommand& command,
+                                         const SetIdCommand& set) {
+  std::optional<uint32_t> node = PickNode(set.target);
   if (!node) {
     ++stats_.failed_writes;
     return FailResponse();
   }
-  OsdCommand cmd;
-  cmd.op = OsdOp::kWrite;
-  cmd.id = kControlObject;
-  cmd.data = EncodeControlMessage(
-      ControlMessage{SetIdCommand{.target = id, .class_id = class_id}});
   bool transport_failure = false;
-  OsdResponse resp = RoundtripOn(*node, cmd, &transport_failure);
+  OsdResponse resp = RoundtripOn(*node, command, &transport_failure);
   if (transport_failure) {
     ++stats_.failed_writes;
     return resp;
   }
-  ObjectMeta& meta = objects_[id];
-  meta.class_id = class_id;
-  if (config_.hint_objects) SendHint(id, class_id, meta.reads, *node);
+  ObjectMeta& meta = objects_[set.target];
+  meta.class_id = set.class_id;
+  if (config_.hint_objects) {
+    SendHint(set.target, set.class_id, meta.reads, *node);
+  }
   return resp;
 }
 

@@ -17,8 +17,9 @@
 //     marks the node dead. Acked-object guarantees are thus preserved
 //     per class: an acked class-0/1 write reached a node that fsync'd it.
 //
-// Cluster metadata: Classify() places a "#OWNER#" hint for every
-// classified object on the object's ring successor (the node that will
+// Cluster metadata: every "#SETID#" (OsdInitiator::SetClassId over this
+// channel) records the object's class and places a "#OWNER#" hint for it
+// on the object's ring successor (the node that will
 // inherit the key if the owner dies — see cluster_directory.h for why
 // that address is the right one), and successful reads re-hint at
 // power-of-two read counts so survivors know hot from cold. Single-
@@ -34,6 +35,7 @@
 #include "cluster/hash_ring.h"
 #include "cluster/node_health.h"
 #include "common/object_id.h"
+#include "osd/control_protocol.h"
 #include "server/socket_initiator.h"
 
 namespace reo {
@@ -52,7 +54,7 @@ struct ClusterInitiatorConfig {
   HashRingConfig ring;
   NodeHealthConfig health;
   SocketInitiatorConfig session;  ///< per-node socket posture
-  /// Send #OWNER# hints on Classify and power-of-two read counts.
+  /// Send #OWNER# hints on SETID and power-of-two read counts.
   bool hint_objects = true;
 };
 
@@ -68,7 +70,7 @@ struct ClusterInitiatorStats {
   uint64_t announces = 0;        ///< NODEDOWN fan-outs issued
 };
 
-class ClusterInitiator {
+class ClusterInitiator final : public OsdChannel {
  public:
   ClusterInitiator(std::vector<ClusterEndpoint> endpoints,
                    ClusterInitiatorConfig config = {});
@@ -89,14 +91,12 @@ class ClusterInitiator {
     return endpoints_[node];
   }
 
-  /// Routes one command per the failover contract above. Namespace-wide
-  /// ops (FORMAT, partition/collection DDL, LIST) fan out to every
-  /// usable node and merge.
-  OsdResponse Roundtrip(const OsdCommand& command);
-
-  /// Classifies an object on its live owner (SETID) and, when hinting is
-  /// on, places the #OWNER# hint on the next usable ring replica.
-  OsdResponse Classify(ObjectId id, uint8_t class_id);
+  /// Routes one command per the failover contract above (RouteCommand
+  /// decides the key). Namespace-wide ops (FORMAT, partition/collection
+  /// DDL, LIST) fan out to every usable node and merge. A SETID runs on
+  /// the object's live owner and, when hinting is on, places the #OWNER#
+  /// hint on the next usable ring replica.
+  OsdResponse Roundtrip(const OsdCommand& command) override;
 
   /// Seeds the local object table (class, zero reads) without wire
   /// traffic, so read-count re-hints fire for objects another session
@@ -139,6 +139,8 @@ class ClusterInitiator {
   OsdResponse RouteSingle(const OsdCommand& command, ObjectId route_by,
                           std::optional<uint32_t> forced = std::nullopt);
   OsdResponse FanOut(const OsdCommand& command);
+  /// SETID on the live owner, then record the class and hint it.
+  OsdResponse RouteSetId(const OsdCommand& command, const SetIdCommand& set);
   void SendHint(ObjectId id, uint8_t class_id, uint64_t hotness,
                 uint32_t owner);
   void MaybeRehint(ObjectId id);

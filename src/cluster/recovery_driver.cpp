@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <unordered_map>
 
+#include "osd/osd_initiator.h"
 #include "telemetry/json_scan.h"
 
 namespace reo {
@@ -97,27 +98,18 @@ Result<ClusterRecoveryReport> ClusterRecoveryDriver::Recover(
   // 3. Refetch class-0/1 from the backend, hottest first, and write each
   //    through the cluster: routing lands it on the key's new owner —
   //    the hint holder, which emits cluster.refetch on arrival.
+  OsdInitiator osd(cluster_);
   for (const RefetchItem& item : *plan) {
     auto payload = backend_(item.id);
     if (!payload.ok()) {
       ++report.refetch_failures;
       continue;
     }
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = item.id;
-    create.logical_size = payload->size();
     // The new owner has no record of the object; an exists-failure from
     // a re-run is fine, the write below is the real verdict.
-    (void)cluster_.Roundtrip(create);
-    (void)cluster_.Classify(item.id, item.class_id);
-
-    OsdCommand write;
-    write.op = OsdOp::kWrite;
-    write.id = item.id;
-    write.logical_size = payload->size();
-    write.data = std::move(*payload);
-    OsdResponse resp = cluster_.Roundtrip(write);
+    (void)osd.CreateObject(item.id, payload->size(), 0);
+    (void)osd.SetClassId(item.id, item.class_id, 0);
+    OsdResponse resp = osd.WriteObject(item.id, *payload, payload->size(), 0);
     if (!resp.ok()) {
       ++report.refetch_failures;
       continue;

@@ -15,9 +15,9 @@ constexpr uint64_t kMetadataObjectBytes = 4096;
 
 }  // namespace
 
-CacheManager::CacheManager(OsdTarget& target, ReoDataPlane& plane,
+CacheManager::CacheManager(OsdChannel& channel, ReoDataPlane& plane,
                            BackendStore& backend, CacheManagerConfig config)
-    : initiator_(target),
+    : initiator_(channel),
       plane_(plane),
       backend_(backend),
       config_(config),

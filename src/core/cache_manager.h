@@ -126,7 +126,9 @@ struct CacheStats {
 class CacheManager {
  public:
   /// All references must outlive the manager.
-  CacheManager(OsdTarget& target, ReoDataPlane& plane, BackendStore& backend,
+  /// `channel` carries every OSD command: the node's OsdTarget in
+  /// process, or a wire channel in front of it.
+  CacheManager(OsdChannel& channel, ReoDataPlane& plane, BackendStore& backend,
                CacheManagerConfig config);
 
   /// Formats the OSD and installs the Table I metadata objects (Class 0,
@@ -181,8 +183,6 @@ class CacheManager {
   size_t recovery_backlog() const { return recovery_.size(); }
   ReoDataPlane& plane() { return plane_; }
   const OsdInitiator& initiator() const { return initiator_; }
-  /// Mutable access for session plumbing (e.g. attaching a wire transport).
-  OsdInitiator& initiator_mutable() { return initiator_; }
 
   /// Sends a #QUERY# control message for an object and returns the sense
   /// code (exercises the paper's query path; used by examples/tests).

@@ -4,8 +4,7 @@ namespace reo {
 
 OsdResponse OsdInitiator::Execute(OsdCommand command) {
   ++stats_.commands_sent;
-  OsdResponse resp = transport_ != nullptr ? transport_->Roundtrip(command)
-                                           : target_.Execute(command);
+  OsdResponse resp = channel_.Roundtrip(command);
   if (!resp.ok()) ++stats_.errors;
   return resp;
 }

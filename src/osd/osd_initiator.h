@@ -2,16 +2,18 @@
 //
 // In the paper's prototype the cache manager talks to osd-target through
 // the osd-initiator kernel modules over iSCSI. This class is that
-// initiator: it owns the session to one target, builds well-formed
-// commands (including the §IV.C.2 control-object messages), and offers a
+// initiator: it builds well-formed commands (including the §IV.C.2
+// control-object messages) and sends them down one OsdChannel (an
+// in-process target, the modeled wire, a socket, or a cluster), offering a
 // typed API so upper layers never touch raw CDBs.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
-#include "osd/osd_target.h"
-#include "osd/transport.h"
+#include "osd/control_protocol.h"
+#include "osd/osd_channel.h"
+#include "osd/osd_target.h"  // the in-process channel: OsdInitiator(target)
 
 namespace reo {
 
@@ -22,11 +24,11 @@ struct OsdInitiatorStats {
   uint64_t errors = 0;  ///< responses with sense != OK
 };
 
-/// Typed command front-end over one OSD target session.
+/// Typed command front-end over one OSD channel.
 class OsdInitiator {
  public:
-  /// @param target the service delegate (in-process stand-in for iSCSI).
-  explicit OsdInitiator(OsdTarget& target) : target_(target) {}
+  /// @param channel where commands go; must outlive the initiator.
+  explicit OsdInitiator(OsdChannel& channel) : channel_(channel) {}
 
   // --- Device / partition management ----------------------------------------
 
@@ -73,18 +75,11 @@ class OsdInitiator {
   void set_control_latency(SimTime ns) { control_latency_ns_ = ns; }
   SimTime control_latency() const { return control_latency_ns_; }
 
-  /// Routes all commands through a serialized wire transport (iSCSI
-  /// stand-in) instead of the in-process fast path. The transport must
-  /// outlive the initiator. Pass nullptr to go back in-process.
-  void UseTransport(OsdTransport* transport) { transport_ = transport; }
-  bool using_transport() const { return transport_ != nullptr; }
-
  private:
   OsdResponse Execute(OsdCommand command);
   SenseCode SendControl(const ControlMessage& msg, SimTime now);
 
-  OsdTarget& target_;
-  OsdTransport* transport_ = nullptr;
+  OsdChannel& channel_;
   OsdInitiatorStats stats_;
   SimTime control_latency_ns_ = 150 * kNsPerUs;
 };

@@ -1,10 +1,10 @@
 // SocketInitiator: the client end of the real network path.
 //
-// Mirrors OsdTransport's interface shape — Roundtrip(command) ->
-// response, stats(), AttachTelemetry() — but ships the same encoded
-// bytes over a TCP socket to a ShardedServer instead of a simulated
-// NetworkLink. Blocking IO: the load generator and tests run one
-// initiator per closed-loop worker. Send()/Receive() are exposed
+// Implements the OsdChannel that OsdTransport also implements, so an
+// OsdInitiator (or a CacheManager) runs over it unchanged: it ships the
+// same encoded bytes over a TCP socket to a ShardedServer instead of a
+// simulated NetworkLink. Blocking IO: the load generator and tests run
+// one initiator per closed-loop worker. Send()/Receive() are exposed
 // separately so callers can pipeline several commands onto the wire
 // before collecting responses (the graceful-drain test depends on it).
 #pragma once
@@ -13,7 +13,7 @@
 #include <string>
 
 #include "common/rng.h"
-#include "osd/osd_target.h"
+#include "osd/osd_channel.h"
 #include "osd/transport.h"
 #include "server/admin_protocol.h"
 #include "server/frame.h"
@@ -62,7 +62,7 @@ struct SocketInitiatorConfig {
 uint32_t ReconnectBackoffMs(const SocketInitiatorConfig& config,
                             uint32_t retry, Pcg32& rng);
 
-class SocketInitiator {
+class SocketInitiator final : public OsdChannel {
  public:
   SocketInitiator() = default;
   explicit SocketInitiator(const SocketInitiatorConfig& config)
@@ -83,7 +83,7 @@ class SocketInitiator {
   /// failure returns a response with sense kFail (matching OsdTransport's
   /// contract); the session is closed. With `max_retries` configured,
   /// idempotent reads transparently reconnect and resend first.
-  OsdResponse Roundtrip(const OsdCommand& command);
+  OsdResponse Roundtrip(const OsdCommand& command) override;
 
   /// Pipelining: ships one command without waiting.
   Status Send(const OsdCommand& command);

@@ -1,74 +1,11 @@
 #include "shard/shard_router.h"
 
-#include <algorithm>
-#include <variant>
-
-#include "osd/control_protocol.h"
-
 namespace reo {
 
 ShardRoute ShardRouter::RouteOf(const OsdCommand& cmd) const {
-  switch (cmd.op) {
-    // Namespace-wide effects: every shard holds a slice of every
-    // partition and collection, so these must execute everywhere.
-    case OsdOp::kFormat:
-    case OsdOp::kCreatePartition:
-    case OsdOp::kCreateCollection:
-    case OsdOp::kRemoveCollection:
-    case OsdOp::kList:
-    case OsdOp::kListCollection:
-      return ShardRoute{true, 0};
-
-    case OsdOp::kWrite:
-      if (cmd.id == kControlObject) {
-        // Control messages carry their real target inside the payload;
-        // route by it so the SETID / QUERY executes next to the
-        // object's metadata and data-plane state.
-        auto msg = DecodeControlMessage(cmd.data);
-        if (!msg.ok()) {
-          // Malformed: any shard rejects it identically; pick the
-          // control object's home so the choice is deterministic.
-          return ShardRoute{false, ShardOf(kControlObject)};
-        }
-        if (const auto* set = std::get_if<SetIdCommand>(&*msg)) {
-          return ShardRoute{false, ShardOf(set->target)};
-        }
-        if (const auto* hint = std::get_if<OwnerHintCommand>(&*msg)) {
-          // Owner hints live with the object's shard so a later write of
-          // the same id (the refetch) lands on the shard holding the hint.
-          return ShardRoute{false, ShardOf(hint->target)};
-        }
-        if (std::holds_alternative<NodeDownCommand>(*msg)) {
-          // Every shard's directory holds a slice of the hint space.
-          return ShardRoute{true, 0};
-        }
-        const auto& q = std::get<QueryCommand>(*msg);
-        if (q.target == kControlObject) {
-          // Recovery-state probe: reconstruction may be running on any
-          // shard's array, so ask all of them and report the worst.
-          return ShardRoute{true, 0};
-        }
-        return ShardRoute{false, ShardOf(q.target)};
-      }
-      return ShardRoute{false, ShardOf(cmd.id)};
-
-    default:
-      return ShardRoute{false, ShardOf(cmd.id)};
-  }
-}
-
-OsdResponse MergeFanOutResponses(std::span<OsdResponse> parts) {
-  OsdResponse merged;
-  for (OsdResponse& part : parts) {
-    if (merged.sense == SenseCode::kOk && part.sense != SenseCode::kOk) {
-      merged.sense = part.sense;
-    }
-    merged.complete = std::max(merged.complete, part.complete);
-    merged.degraded = merged.degraded || part.degraded;
-    merged.list.insert(merged.list.end(), part.list.begin(), part.list.end());
-  }
-  std::sort(merged.list.begin(), merged.list.end());
-  return merged;
+  CommandRoute route = RouteCommand(cmd);
+  if (route.fan_out) return ShardRoute{true, 0};
+  return ShardRoute{false, ShardOf(route.key)};
 }
 
 }  // namespace reo

@@ -7,24 +7,16 @@
 // across restarts, needs no directory state, and any party (server,
 // simulator, load generator) computes it independently and agrees.
 //
-// Routing is command-aware, not just id-aware:
-//   * Data ops (CREATE / WRITE / READ / REMOVE / attrs) go to the shard
-//     owning cmd.id.
-//   * Control writes to the reserved communication object (§IV.C.2)
-//     route by the target embedded IN the message: a "#SETID#" or
-//     per-object "#QUERY#" executes on the shard owning that object,
-//     while a query of the control object itself (recovery state) fans
-//     out — any shard may be reconstructing.
-//   * Namespace ops whose effect or answer spans every shard (FORMAT,
-//     partition / collection create-remove, LIST) fan out; the caller
-//     merges the per-shard responses with MergeFanOutResponses().
+// Routing is command-aware, not just id-aware: RouteCommand
+// (osd/command_route.h) decides which object's owner executes a command
+// or that every shard must, the same rule the cluster client uses across
+// nodes; the server merges fan-out replies with MergeFanOutResponses().
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "common/object_id.h"
-#include "osd/osd_target.h"
+#include "osd/command_route.h"
 
 namespace reo {
 
@@ -52,16 +44,5 @@ class ShardRouter {
  private:
   size_t num_shards_;
 };
-
-/// Merges the per-shard responses of a fan-out command into the single
-/// response the client sees:
-///   * sense: first (lowest shard index) non-OK sense — a fan-out
-///     succeeds only if every shard succeeded, and the recovery-state
-///     query reports 0x65 if ANY shard is reconstructing;
-///   * complete: the latest per-shard completion time;
-///   * degraded: true if any part was degraded;
-///   * list: concatenation of the disjoint per-shard lists, sorted so
-///     the merged LIST answer is deterministic.
-OsdResponse MergeFanOutResponses(std::span<OsdResponse> parts);
 
 }  // namespace reo

@@ -47,22 +47,23 @@ CacheSimulator::CacheSimulator(const Trace& trace, SimulationConfig config)
     BackendStore& backend = *backends_.emplace_back(
         std::make_unique<BackendStore>(config_.hdd, config_.net));
     backend.AttachFaults(node.fault_injector());
-    CacheManager& cache = *caches_.emplace_back(std::make_unique<CacheManager>(
-        node.target(), node.plane(), backend, cmc));
-    cache.AttachPersistence(node.persistence());
-    cache.AttachFaultDetector(node.failslow_detector());
-    // Graduating objects classify from observed hotness, not the staged
-    // cold-start guess.
-    if (node.admission_tier()) cache.AttachAdmission(*node.admission_tier());
     OsdTransport* transport = nullptr;
     if (config_.wire_transport) {
       transport = transports_
                       .emplace_back(std::make_unique<OsdTransport>(
                           node.target(), config_.net))
                       .get();
-      cache.initiator_mutable().UseTransport(transport);
       transport->AttachTelemetry(node.registry());
     }
+    OsdChannel& channel =
+        transport ? static_cast<OsdChannel&>(*transport) : node.target();
+    CacheManager& cache = *caches_.emplace_back(
+        std::make_unique<CacheManager>(channel, node.plane(), backend, cmc));
+    cache.AttachPersistence(node.persistence());
+    cache.AttachFaultDetector(node.failslow_detector());
+    // Graduating objects classify from observed hotness, not the staged
+    // cold-start guess.
+    if (node.admission_tier()) cache.AttachAdmission(*node.admission_tier());
     // The cache manager attaches its recovery scheduler itself.
     cache.AttachTelemetry(node.registry());
 

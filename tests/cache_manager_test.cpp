@@ -19,14 +19,9 @@ struct CacheFixture {
   explicit CacheFixture(ProtectionMode mode = ProtectionMode::kReo,
                         uint64_t device_capacity = 64 * kChunk,
                         double reserve = 0.25)
-      : node(TestNode(device_capacity, kChunk, mode, reserve)) {
-    backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-    CacheManagerConfig cfg;
-    cfg.hhot_refresh_interval = 10;
-    cfg.verify_hits = true;
-    cache = std::make_unique<CacheManager>(*target, *plane, *backend, cfg);
-    cache->Initialize(0);
-  }
+      : node(TestNode(device_capacity, kChunk, mode, reserve)),
+        side(TestCache(*node, {.hhot_refresh_interval = 10,
+                               .verify_hits = true})) {}
 
   void Register(uint64_t n, uint64_t logical) {
     backend->RegisterObject(Oid(n), logical, stripes->PhysicalSize(logical));
@@ -49,8 +44,9 @@ struct CacheFixture {
   StripeManager* stripes = &node->stripes();
   ReoDataPlane* plane = &node->plane();
   OsdTarget* target = &node->target();
-  std::unique_ptr<BackendStore> backend;
-  std::unique_ptr<CacheManager> cache;
+  std::unique_ptr<TestInitiatorSide> side;
+  BackendStore* backend = &side->backend;
+  CacheManager* cache = &side->cache;
   std::unordered_map<uint64_t, uint64_t> sizes;
   SimClock clock;
 };

@@ -26,13 +26,10 @@ ObjectId Oid(uint64_t n) { return ObjectId{kFirstUserId, 0x20000 + n}; }
 class CacheSoak : public ::testing::TestWithParam<uint64_t> {
  protected:
   CacheSoak()
-      : node_(TestNode(2 << 20, kChunk, ProtectionMode::kReo, 0.25)) {
-    backend_ = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-    CacheManagerConfig cfg;
-    cfg.hhot_refresh_interval = 50;
-    cfg.verify_hits = true;  // every hit is content-checked
-    cache_ = std::make_unique<CacheManager>(*target_, *plane_, *backend_, cfg);
-    cache_->Initialize(0);
+      : node_(TestNode(2 << 20, kChunk, ProtectionMode::kReo, 0.25)),
+        // verify_hits: every hit is content-checked.
+        side_(TestCache(*node_, {.hhot_refresh_interval = 50,
+                                 .verify_hits = true})) {
     for (uint64_t n = 0; n < kObjects; ++n) {
       uint64_t logical = (1 + (n % 7)) * kChunk;
       backend_->RegisterObject(Oid(n), logical, stripes_->PhysicalSize(logical));
@@ -47,8 +44,9 @@ class CacheSoak : public ::testing::TestWithParam<uint64_t> {
   StripeManager* stripes_ = &node_->stripes();
   ReoDataPlane* plane_ = &node_->plane();
   OsdTarget* target_ = &node_->target();
-  std::unique_ptr<BackendStore> backend_;
-  std::unique_ptr<CacheManager> cache_;
+  std::unique_ptr<TestInitiatorSide> side_;
+  BackendStore* backend_ = &side_->backend;
+  CacheManager* cache_ = &side_->cache;
   std::unordered_map<uint64_t, uint64_t> sizes_;
   SimClock clock_;
 };

@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_initiator.h"
@@ -21,7 +23,9 @@
 #include "common/rng.h"
 #include "osd/cluster_directory.h"
 #include "osd/control_protocol.h"
+#include "osd/osd_initiator.h"
 #include "osd/osd_target.h"
+#include "telemetry/json_scan.h"
 #include "serving_test_util.h"
 #include "shard/sharded_server.h"
 #include "trace/event_log.h"
@@ -82,7 +86,9 @@ TEST(HashRingTest, MembershipChangeRemapsAboutOneNthOfKeys) {
     uint32_t now = *ring.OwnerOf(KeyOf(i));
     if (now != before[i]) ++remapped;
     // Consistency: only the removed node's keys may move.
-    if (before[i] != 3) EXPECT_EQ(now, before[i]) << "key " << i;
+    if (before[i] != 3) {
+      EXPECT_EQ(now, before[i]) << "key " << i;
+    }
   }
   // Regression-pin the remap fraction near 1/N = 0.125 (the whole point
   // of consistent hashing; mod-N hashing would remap ~7/8 here).
@@ -277,6 +283,102 @@ TEST(ClusterDirectoryTest, MergedJsonOrdersClassThenHotness) {
   EXPECT_LT(p1, p2);
 }
 
+// --- SETID over a cluster -----------------------------------------------------
+
+/// One in-process cluster node: a MapDataPlane target with its directory,
+/// served by a one-shard ShardedServer on its own thread.
+struct InProcessNode {
+  explicit InProcessNode(uint32_t id) : directory(id) {
+    target.AttachCluster(directory);
+    OsdTarget* targets[] = {&target};
+    server = std::make_unique<ShardedServer>(targets);
+    server->AttachCluster({&directory});
+    listening = server->Listen().ok();
+    if (listening) thread = std::thread([this] { server->Run(); });
+  }
+  ~InProcessNode() {
+    if (!thread.joinable()) return;
+    server->RequestDrain();
+    thread.join();
+  }
+  // The serving thread holds `this`.
+  InProcessNode(const InProcessNode&) = delete;
+  InProcessNode& operator=(const InProcessNode&) = delete;
+
+  MapDataPlane plane;
+  OsdTarget target{plane};
+  ClusterDirectory directory;
+  std::unique_ptr<ShardedServer> server;
+  bool listening = false;
+  std::thread thread;
+};
+
+/// The OWNERS entries `node` holds for `id`, as (owner, class) pairs.
+std::vector<std::pair<uint32_t, uint32_t>> HintsFor(ClusterInitiator& cluster,
+                                                    uint32_t node,
+                                                    ObjectId id) {
+  std::vector<std::pair<uint32_t, uint32_t>> out;
+  auto resp = cluster.AdminRoundtrip(node, AdminOp::kOwners);
+  if (!resp.ok() || resp->status != 0) return out;
+  auto doc = JsonDoc::Parse(resp->json);
+  if (!doc) return out;
+  int entries = doc->member(doc->root(), "entries");
+  for (size_t i = 0; i < doc->size(entries); ++i) {
+    int e = doc->item(entries, i);
+    ObjectId got{
+        std::strtoull(doc->str(doc->member(e, "pid")).c_str(), nullptr, 0),
+        std::strtoull(doc->str(doc->member(e, "oid")).c_str(), nullptr, 0)};
+    if (got != id) continue;
+    out.emplace_back(static_cast<uint32_t>(doc->number(doc->member(e, "owner"))),
+                     static_cast<uint32_t>(doc->number(doc->member(e, "class"))));
+  }
+  return out;
+}
+
+TEST(ClusterSetIdTest, SetClassIdPlacesOwnerHintOnRingSuccessor) {
+  constexpr uint32_t kNodes = 3;
+  std::vector<std::unique_ptr<InProcessNode>> nodes;
+  std::vector<ClusterEndpoint> endpoints;
+  for (uint32_t n = 0; n < kNodes; ++n) {
+    nodes.push_back(std::make_unique<InProcessNode>(n));
+    ASSERT_TRUE(nodes.back()->listening);
+    endpoints.push_back(
+        {"127.0.0.1", static_cast<uint16_t>(nodes.back()->server->port())});
+  }
+  ClusterInitiator cluster(endpoints);
+  ASSERT_TRUE(cluster.ConnectAll().ok());
+  OsdInitiator osd(cluster);
+  ASSERT_TRUE(osd.FormatOsd(4 << 20).ok());
+
+  ObjectId id = KeyOf(42);
+  auto replicas = cluster.ring().ReplicasOf(id, kNodes);
+  ASSERT_EQ(replicas.size(), kNodes);
+  const uint32_t owner = replicas[0];
+  const uint32_t successor = replicas[1];
+
+  ASSERT_TRUE(osd.CreateObject(id, 64, 0).ok());
+  EXPECT_EQ(cluster.stats().hints_sent, 0u);
+  ASSERT_EQ(osd.SetClassId(id, 1, 0), SenseCode::kOk);
+
+  // The typed SETID is the cluster's one classification path: it ran on
+  // the owner and placed exactly one hint, on the ring successor.
+  EXPECT_EQ(cluster.stats().hints_sent, 1u);
+  auto hints = HintsFor(cluster, successor, id);
+  ASSERT_EQ(hints.size(), 1u);
+  EXPECT_EQ(hints[0].first, owner);
+  EXPECT_EQ(hints[0].second, 1u);
+  EXPECT_TRUE(HintsFor(cluster, owner, id).empty());
+  EXPECT_TRUE(HintsFor(cluster, replicas[2], id).empty());
+
+  // A re-classification re-hints in place with the new class.
+  ASSERT_EQ(osd.SetClassId(id, 0, 0), SenseCode::kOk);
+  EXPECT_EQ(cluster.stats().hints_sent, 2u);
+  hints = HintsFor(cluster, successor, id);
+  ASSERT_EQ(hints.size(), 1u);
+  EXPECT_EQ(hints[0].second, 0u);
+  cluster.CloseAll();
+}
+
 // --- Three-node kill drill --------------------------------------------------
 
 constexpr uint32_t kDrillObjects = 120;
@@ -337,29 +439,20 @@ TEST(ClusterIntegrationTest, ThreeNodeKillDrillPreservesAckedClass01) {
   ccfg.session.receive_timeout_ms = 5000;
   ClusterInitiator cluster(endpoints, ccfg);
   ASSERT_TRUE(cluster.ConnectAll().ok());
-
-  OsdCommand format;
-  format.op = OsdOp::kFormat;
-  format.capacity_bytes = 64ull << 20;
-  ASSERT_TRUE(cluster.Roundtrip(format).ok());
+  OsdInitiator osd(cluster);
+  ASSERT_TRUE(osd.FormatOsd(64ull << 20).ok());
 
   // Populate: every object created, classified rank%4 (placing its
   // owner hint on the ring successor), and written on its ring owner.
   std::set<uint32_t> acked;
   for (uint32_t rank = 0; rank < kDrillObjects; ++rank) {
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = KeyOf(rank);
-    create.logical_size = kDrillBytes;
-    ASSERT_TRUE(cluster.Roundtrip(create).ok()) << "rank " << rank;
+    ASSERT_TRUE(osd.CreateObject(KeyOf(rank), kDrillBytes, 0).ok())
+        << "rank " << rank;
+    ASSERT_EQ(osd.SetClassId(KeyOf(rank), static_cast<uint8_t>(rank % 4), 0),
+              SenseCode::kOk);
     ASSERT_TRUE(
-        cluster.Classify(KeyOf(rank), static_cast<uint8_t>(rank % 4)).ok());
-    OsdCommand write;
-    write.op = OsdOp::kWrite;
-    write.id = KeyOf(rank);
-    write.data = DrillPayload(rank);
-    write.logical_size = write.data.size();
-    ASSERT_TRUE(cluster.Roundtrip(write).ok()) << "rank " << rank;
+        osd.WriteObject(KeyOf(rank), DrillPayload(rank), kDrillBytes, 0).ok())
+        << "rank " << rank;
     acked.insert(rank);
   }
 
@@ -373,17 +466,12 @@ TEST(ClusterIntegrationTest, ThreeNodeKillDrillPreservesAckedClass01) {
       reaper.pids[kDeadNode] = -1;
     }
     uint32_t rank = rng.Next() % kDrillObjects;
-    OsdCommand cmd;
     if (rng.Next() % 2 == 0) {
-      cmd.op = OsdOp::kWrite;
-      cmd.id = KeyOf(rank);
-      cmd.data = DrillPayload(rank);  // content-stable: replays are safe
-      cmd.logical_size = cmd.data.size();
+      // Content-stable: replays are safe.
+      (void)osd.WriteObject(KeyOf(rank), DrillPayload(rank), kDrillBytes, 0);
     } else {
-      cmd.op = OsdOp::kRead;
-      cmd.id = KeyOf(rank);
+      (void)osd.ReadObject(KeyOf(rank), 0);
     }
-    (void)cluster.Roundtrip(cmd);
   }
   EXPECT_GT(cluster.stats().transport_failures, 0u);
   EXPECT_EQ(cluster.health().state(kDeadNode), NodeState::kDead);
@@ -426,10 +514,7 @@ TEST(ClusterIntegrationTest, ThreeNodeKillDrillPreservesAckedClass01) {
   // anything served must still be byte-exact.
   uint32_t degraded = 0;
   for (uint32_t rank : acked) {
-    OsdCommand read;
-    read.op = OsdOp::kRead;
-    read.id = KeyOf(rank);
-    OsdResponse resp = cluster.Roundtrip(read);
+    OsdResponse resp = osd.ReadObject(KeyOf(rank), 0);
     if (!resp.ok()) {
       ASSERT_GE(rank % 4, 2u) << "acked class-" << rank % 4
                               << " object lost: rank " << rank;

@@ -413,11 +413,9 @@ struct CacheFaultFixture {
   CacheFaultFixture()
       : node(TestNode(64 * kChunk, kChunk, ProtectionMode::kReo, 0.25)) {
     plane->ConfigureRetry(RetryPolicy{}, /*seed=*/7);
-    backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-    CacheManagerConfig cfg;
-    cfg.verify_hits = true;
-    cache = std::make_unique<CacheManager>(*target, *plane, *backend, cfg);
-    cache->Initialize(0);
+    side = TestCache(*node, {.verify_hits = true});
+    backend = &side->backend;
+    cache = &side->cache;
   }
 
   /// Arm after Initialize so metadata writes don't absorb the triggers.
@@ -438,8 +436,9 @@ struct CacheFaultFixture {
   StripeManager* stripes = &node->stripes();
   ReoDataPlane* plane = &node->plane();
   OsdTarget* target = &node->target();
-  std::unique_ptr<BackendStore> backend;
-  std::unique_ptr<CacheManager> cache;
+  std::unique_ptr<TestInitiatorSide> side;
+  BackendStore* backend = nullptr;
+  CacheManager* cache = nullptr;
   std::unique_ptr<FaultInjector> injector;
   SimClock clock;
 };

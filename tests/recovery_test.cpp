@@ -96,11 +96,10 @@ TEST(RecoveryTimelineTest, EventLogShowsDifferentiatedOrder) {
   constexpr uint64_t kChunk = 1024;
   auto node = TestNode(256 * kChunk, kChunk, ProtectionMode::kReo, 0.25);
   StripeManager* stripes = &node->stripes();
-  auto backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-  CacheManagerConfig cfg;
-  cfg.hhot_refresh_interval = 10;
-  auto cache = std::make_unique<CacheManager>(node->target(), node->plane(),
-                                              *backend, cfg);
+  auto side = TestCache(*node, {.hhot_refresh_interval = 10}, nullptr,
+                        /*initialize=*/false);
+  BackendStore* backend = &side->backend;
+  CacheManager* cache = &side->cache;
   Tracer tracer;
   cache->AttachTracing(tracer);
   cache->Initialize(0);

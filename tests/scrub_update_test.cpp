@@ -229,10 +229,9 @@ TEST(ScrubberTest, CacheManagerEvictsScrubLosses) {
   auto node = TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.2);
   FlashArray& array = node->array();
   StripeManager& stripes = node->stripes();
-  BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManager cache(node->target(), node->plane(), backend,
-                     CacheManagerConfig{});
-  cache.Initialize(0);
+  auto side = TestCache(*node);
+  BackendStore& backend = side->backend;
+  CacheManager& cache = side->cache;
 
   backend.RegisterObject(Oid(1), 5 * kChunk, stripes.PhysicalSize(5 * kChunk));
   (void)cache.Get(Oid(1), 5 * kChunk, 0);  // admitted cold (unprotected)

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <thread>
 
+#include "osd/osd_initiator.h"
 #include "osd/osd_target.h"
 #include "osd/transport.h"
 #include <sys/uio.h>
@@ -90,22 +91,13 @@ class ServerTest : public ServingTest {
   /// in ASSERT_NO_FATAL_FAILURE.
   void CreateWriteRead(SocketInitiator& client, uint64_t first, int n,
                        size_t bytes) {
+    OsdInitiator osd(client);
     for (int i = 0; i < n; ++i) {
-      OsdCommand create;
-      create.op = OsdOp::kCreate;
-      create.id = ObjectId{kFirstUserId, kTestObject.oid + first + i};
-      create.logical_size = bytes;
-      ASSERT_TRUE(client.Roundtrip(create).ok());
-      OsdCommand write;
-      write.op = OsdOp::kWrite;
-      write.id = create.id;
-      write.data = std::vector<uint8_t>(bytes, static_cast<uint8_t>(i));
-      write.logical_size = bytes;
-      ASSERT_TRUE(client.Roundtrip(write).ok());
-      OsdCommand read;
-      read.op = OsdOp::kRead;
-      read.id = write.id;
-      ASSERT_TRUE(client.Roundtrip(read).ok());
+      ObjectId id{kFirstUserId, kTestObject.oid + first + i};
+      ASSERT_TRUE(osd.CreateObject(id, bytes, 0).ok());
+      std::vector<uint8_t> payload(bytes, static_cast<uint8_t>(i));
+      ASSERT_TRUE(osd.WriteObject(id, payload, bytes, 0).ok());
+      ASSERT_TRUE(osd.ReadObject(id, 0).ok());
     }
   }
 
@@ -116,38 +108,23 @@ TEST_F(ServerTest, CreateWriteReadRemoveRoundTrip) {
   StartServer();
   SocketInitiator client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  OsdInitiator osd(client);
 
-  ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());
-
-  OsdCommand create;
-  create.op = OsdOp::kCreate;
-  create.id = kTestObject;
-  create.logical_size = 4096;
-  ASSERT_TRUE(client.Roundtrip(create).ok());
+  ASSERT_TRUE(osd.FormatOsd(4 << 20).ok());
+  ASSERT_TRUE(osd.CreateObject(kTestObject, 4096, 0).ok());
 
   std::vector<uint8_t> payload(4096);
   for (size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<uint8_t>(i * 131);
   }
-  OsdCommand write;
-  write.op = OsdOp::kWrite;
-  write.id = kTestObject;
-  write.logical_size = payload.size();
-  write.data = payload;
-  ASSERT_TRUE(client.Roundtrip(write).ok());
+  ASSERT_TRUE(osd.WriteObject(kTestObject, payload, payload.size(), 0).ok());
 
-  OsdCommand read;
-  read.op = OsdOp::kRead;
-  read.id = kTestObject;
-  OsdResponse got = client.Roundtrip(read);
+  OsdResponse got = osd.ReadObject(kTestObject, 0);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.data, payload);
 
-  OsdCommand remove;
-  remove.op = OsdOp::kRemove;
-  remove.id = kTestObject;
-  ASSERT_TRUE(client.Roundtrip(remove).ok());
-  EXPECT_FALSE(client.Roundtrip(read).ok());  // gone
+  ASSERT_TRUE(osd.RemoveObject(kTestObject, 0).ok());
+  EXPECT_FALSE(osd.ReadObject(kTestObject, 0).ok());  // gone
 
   // The wire stayed clean in both directions.
   EXPECT_EQ(client.stats().crc_errors, 0u);
@@ -160,6 +137,56 @@ TEST_F(ServerTest, CreateWriteReadRemoveRoundTrip) {
   EXPECT_EQ(server_->stats().decode_errors, 0u);
   EXPECT_EQ(server_->stats().requests, 6u);
   EXPECT_EQ(telemetry().Snapshot().Find("server.requests")->value, 6.0);
+}
+
+TEST_F(ServerTest, TypedInitiatorOverSocketCoversDataAndControl) {
+  // The cache manager's whole command vocabulary, typed, down one TCP
+  // channel: data ops, #SETID#, per-object #QUERY# sense codes and the
+  // recovery-state query of the control object.
+  StartServer();
+  SocketInitiator client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  OsdInitiator osd(client);
+
+  ASSERT_TRUE(osd.FormatOsd(4 << 20).ok());
+  ASSERT_TRUE(osd.CreateObject(kTestObject, 512, 0).ok());
+  std::vector<uint8_t> payload(512, 0x5a);
+  ASSERT_TRUE(osd.WriteObject(kTestObject, payload, payload.size(), 0).ok());
+  OsdResponse got = osd.ReadObject(kTestObject, 0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.data, payload);
+
+  // SETID lands on the object's record: its class attribute reads back.
+  EXPECT_EQ(osd.SetClassId(kTestObject, 2, 0), SenseCode::kOk);
+  OsdResponse cls = osd.GetAttr(kTestObject, kAttrClassId);
+  ASSERT_TRUE(cls.ok());
+  EXPECT_FALSE(cls.attr_value.empty());
+  EXPECT_EQ(cls.attr_value[0], 2u);
+  // SETID of an object the target has never heard of fails.
+  ObjectId stranger{kFirstUserId, kTestObject.oid + 1};
+  EXPECT_EQ(osd.SetClassId(stranger, 1, 0), SenseCode::kFail);
+
+  // Per-object read queries answer Table III accessibility; a write
+  // query asks for room.
+  EXPECT_EQ(osd.Query(kTestObject, false, 0, 512, 0), SenseCode::kOk);
+  EXPECT_EQ(osd.Query(stranger, false, 0, 512, 0), SenseCode::kFail);
+  EXPECT_EQ(osd.Query(kTestObject, true, 0, 512, 0), SenseCode::kOk);
+  // Querying the control object itself: not reconstructing.
+  EXPECT_EQ(osd.QueryRecoveryState(0), SenseCode::kOk);
+
+  // 2 SETIDs + 4 queries went down the control channel; the two kFail
+  // verdicts are storage answers, not wire failures.
+  EXPECT_EQ(osd.stats().control_writes, 6u);
+  EXPECT_EQ(osd.stats().commands_sent, 11u);
+  EXPECT_EQ(osd.stats().errors, 2u);
+  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(client.stats().crc_errors + client.stats().frame_errors +
+                client.stats().decode_errors,
+            0u);
+  client.Close();
+  DrainAndJoin();
+  EXPECT_EQ(server_->stats().requests, 11u);
+  EXPECT_EQ(targets_[0]->stats().control_messages, 6u);
 }
 
 TEST_F(ServerTest, PipelinedRequestsAllAnswerInOrder) {
@@ -420,10 +447,7 @@ TEST_F(ServerTest, OneShardNeverForwards) {
   ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());
   constexpr int kOps = 8;
   ASSERT_NO_FATAL_FAILURE(CreateWriteRead(client, 700, kOps, 64));
-  OsdCommand list;
-  list.op = OsdOp::kList;
-  list.id = ObjectId{kFirstUserId, 0};
-  OsdResponse listed = client.Roundtrip(list);
+  OsdResponse listed = OsdInitiator(client).ListObjects(kFirstUserId);
   ASSERT_TRUE(listed.ok());
   for (int i = 0; i < kOps; ++i) {
     uint64_t oid = kTestObject.oid + 700 + i;

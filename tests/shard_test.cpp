@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "osd/control_protocol.h"
+#include "osd/osd_initiator.h"
 #include "osd/osd_target.h"
 #include "server/admin_protocol.h"
 #include "server/socket_initiator.h"
@@ -112,6 +113,22 @@ TEST(ShardRouterTest, ControlWritesRouteByEmbeddedTarget) {
   ShardRoute jr = router.RouteOf(junk);
   EXPECT_FALSE(jr.fan_out);
   EXPECT_EQ(jr.shard, router.ShardOf(kControlObject));
+
+  // Cluster messages: an owner hint lives with its object's shard; a
+  // node-down announcement reaches every shard's slice of the hints.
+  OsdCommand hint;
+  hint.op = OsdOp::kWrite;
+  hint.id = kControlObject;
+  hint.data = EncodeControlMessage(
+      OwnerHintCommand{.target = victim, .class_id = 1, .owner = 2});
+  ShardRoute hr = router.RouteOf(hint);
+  EXPECT_FALSE(hr.fan_out);
+  EXPECT_EQ(hr.shard, router.ShardOf(victim));
+  OsdCommand down;
+  down.op = OsdOp::kWrite;
+  down.id = kControlObject;
+  down.data = EncodeControlMessage(NodeDownCommand{.node = 2});
+  EXPECT_TRUE(router.RouteOf(down).fan_out);
 }
 
 TEST(ShardRouterTest, MergeFanOutResponses) {
@@ -143,6 +160,14 @@ TEST(ShardRouterTest, MergeFanOutResponses) {
   EXPECT_EQ(ok.sense, SenseCode::kOk);
   EXPECT_EQ(ok.complete, 7u);
   EXPECT_FALSE(ok.degraded);
+
+  // Overlapping lists (a cluster LIST after re-owning) merge to a set.
+  std::vector<OsdResponse> overlap(2);
+  overlap[0].list = {kFirstUserId + 3, kFirstUserId + 1};
+  overlap[1].list = {kFirstUserId + 1, kFirstUserId + 2};
+  EXPECT_EQ(MergeFanOutResponses(overlap).list,
+            (std::vector<uint64_t>{kFirstUserId + 1, kFirstUserId + 2,
+                                   kFirstUserId + 3}));
 }
 
 // --- ShardedServer integration ----------------------------------------------
@@ -175,7 +200,8 @@ TEST_F(ShardedServerTest, CrossShardRoundTripsOnOneConnection) {
   Start();
   SocketInitiator client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
-  ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());  // fan-out barrier
+  OsdInitiator osd(client);
+  ASSERT_TRUE(osd.FormatOsd(4 << 20).ok());  // fan-out barrier
 
   // One object per shard, all served over this single connection: at
   // least 3 of the 4 round trips cross shards.
@@ -185,24 +211,11 @@ TEST_F(ShardedServerTest, CrossShardRoundTripsOnOneConnection) {
       uint32_t rank = static_cast<uint32_t>(r * kShards + shard);
       ObjectId id = IdOnShard(shard, rank);
       std::vector<uint8_t> payload = PayloadFor(rank);
-
-      OsdCommand create;
-      create.op = OsdOp::kCreate;
-      create.id = id;
-      create.logical_size = payload.size();
-      ASSERT_TRUE(client.Roundtrip(create).ok()) << "shard " << shard;
-
-      OsdCommand write;
-      write.op = OsdOp::kWrite;
-      write.id = id;
-      write.logical_size = payload.size();
-      write.data = payload;
-      ASSERT_TRUE(client.Roundtrip(write).ok()) << "shard " << shard;
-
-      OsdCommand read;
-      read.op = OsdOp::kRead;
-      read.id = id;
-      OsdResponse got = client.Roundtrip(read);
+      ASSERT_TRUE(osd.CreateObject(id, payload.size(), 0).ok())
+          << "shard " << shard;
+      ASSERT_TRUE(osd.WriteObject(id, payload, payload.size(), 0).ok())
+          << "shard " << shard;
+      OsdResponse got = osd.ReadObject(id, 0);
       ASSERT_TRUE(got.ok()) << "shard " << shard;
       EXPECT_EQ(got.data, payload) << "shard " << shard;
     }
@@ -420,12 +433,9 @@ TEST_F(ShardedServerTest, AdminAggregatesAcrossShards) {
   ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());
 
   // Touch every shard so each per-shard registry has non-zero counters.
+  OsdInitiator osd(client);
   for (size_t shard = 0; shard < kShards; ++shard) {
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = IdOnShard(shard, 300 + shard);
-    create.logical_size = 32;
-    ASSERT_TRUE(client.Roundtrip(create).ok());
+    ASSERT_TRUE(osd.CreateObject(IdOnShard(shard, 300 + shard), 32, 0).ok());
   }
   constexpr double kDataRequests = 1.0 + kShards;  // format + creates
 
@@ -502,20 +512,10 @@ TEST_F(ShardedServerTest, ControlWritesExecuteOnTargetsShard) {
   // homed anywhere. SETID only succeeds on the shard holding the target's
   // record (any other shard answers kFail), so a clean round trip IS the
   // routing proof.
+  OsdInitiator osd(client);
   ObjectId id = IdOnShard(3, 400);
-  OsdCommand create;
-  create.op = OsdOp::kCreate;
-  create.id = id;
-  create.logical_size = 16;
-  ASSERT_TRUE(client.Roundtrip(create).ok());
-
-  OsdCommand setid;
-  setid.op = OsdOp::kWrite;
-  setid.id = kControlObject;
-  setid.data =
-      EncodeControlMessage(SetIdCommand{.target = id, .class_id = 3});
-  setid.logical_size = setid.data.size();
-  ASSERT_TRUE(client.Roundtrip(setid).ok());
+  ASSERT_TRUE(osd.CreateObject(id, 16, 0).ok());
+  ASSERT_EQ(osd.SetClassId(id, 3, 0), SenseCode::kOk);
 
   // And only shard 3's registry saw a control message.
   for (size_t k = 0; k < kShards; ++k) {
@@ -527,27 +527,13 @@ TEST_F(ShardedServerTest, ControlWritesExecuteOnTargetsShard) {
 
   // Per-object read query routes to the same shard: after the payload
   // lands the object is intact there, so the probe answers OK.
-  OsdCommand write;
-  write.op = OsdOp::kWrite;
-  write.id = id;
-  write.data = {1, 2, 3, 4};
-  write.logical_size = 4;
-  ASSERT_TRUE(client.Roundtrip(write).ok());
-  OsdCommand query;
-  query.op = OsdOp::kWrite;
-  query.id = kControlObject;
-  query.data = EncodeControlMessage(QueryCommand{.target = id});
-  query.logical_size = query.data.size();
-  EXPECT_TRUE(client.Roundtrip(query).ok());
+  std::vector<uint8_t> payload = {1, 2, 3, 4};
+  ASSERT_TRUE(osd.WriteObject(id, payload, 4, 0).ok());
+  EXPECT_EQ(osd.Query(id, false, 0, 0, 0), SenseCode::kOk);
 
   // Recovery-state probe of the control object fans out to all shards
   // and answers OK while none is reconstructing.
-  OsdCommand probe;
-  probe.op = OsdOp::kWrite;
-  probe.id = kControlObject;
-  probe.data = EncodeControlMessage(QueryCommand{.target = kControlObject});
-  probe.logical_size = probe.data.size();
-  EXPECT_TRUE(client.Roundtrip(probe).ok());
+  EXPECT_EQ(osd.QueryRecoveryState(0), SenseCode::kOk);
 }
 
 }  // namespace

@@ -140,11 +140,10 @@ struct TracedFixture {
                          TracerConfig tcfg = {})
       : tracer(tcfg),
         node(TestNode(256 * kChunk, kChunk, mode, 0.25)) {
-    backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-    cache = std::make_unique<CacheManager>(*target, *plane, *backend,
-                                           CacheManagerConfig{});
     transport = std::make_unique<OsdTransport>(*target);
-    cache->initiator_mutable().UseTransport(transport.get());
+    side = TestCache(*node, {}, transport.get(), /*initialize=*/false);
+    backend = &side->backend;
+    cache = &side->cache;
 
     cache->AttachTracing(tracer);
     target->AttachTracing(tracer);
@@ -178,9 +177,10 @@ struct TracedFixture {
   StripeManager* stripes = &node->stripes();
   ReoDataPlane* plane = &node->plane();
   OsdTarget* target = &node->target();
-  std::unique_ptr<BackendStore> backend;
-  std::unique_ptr<CacheManager> cache;
   std::unique_ptr<OsdTransport> transport;
+  std::unique_ptr<TestInitiatorSide> side;
+  BackendStore* backend = nullptr;
+  CacheManager* cache = nullptr;
   std::unordered_map<uint64_t, uint64_t> sizes;
   SimClock clock;
 };

@@ -142,11 +142,9 @@ struct WireStack {
   WireStack()
       : node(TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3)) {
     transport = std::make_unique<OsdTransport>(*target);
-    backend = std::make_unique<BackendStore>(HddConfig{}, NetworkLinkConfig{});
-    cache = std::make_unique<CacheManager>(*target, *plane, *backend,
-                                           CacheManagerConfig{});
-    cache->initiator_mutable().UseTransport(transport.get());
-    cache->Initialize(0);
+    side = TestCache(*node, {}, transport.get());
+    backend = &side->backend;
+    cache = &side->cache;
   }
 
   std::unique_ptr<NodeStack> node;
@@ -155,8 +153,9 @@ struct WireStack {
   ReoDataPlane* plane = &node->plane();
   OsdTarget* target = &node->target();
   std::unique_ptr<OsdTransport> transport;
-  std::unique_ptr<BackendStore> backend;
-  std::unique_ptr<CacheManager> cache;
+  std::unique_ptr<TestInitiatorSide> side;
+  BackendStore* backend = nullptr;
+  CacheManager* cache = nullptr;
 };
 
 TEST(TransportStackTest, CacheWorksOverTheWire) {
@@ -187,10 +186,9 @@ TEST(TransportStackTest, WireAddsLatency) {
   // Same stack without a transport: the in-process hit is faster.
   auto node = TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3);
   StripeManager& stripes = node->stripes();
-  BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManager cache(node->target(), node->plane(), backend,
-                     CacheManagerConfig{});
-  cache.Initialize(0);
+  auto side = TestCache(*node);
+  BackendStore& backend = side->backend;
+  CacheManager& cache = side->cache;
   backend.RegisterObject(Oid(1), 4 * kChunk, stripes.PhysicalSize(4 * kChunk));
   (void)cache.Get(Oid(1), 4 * kChunk, 0);
   auto local_hit = cache.Get(Oid(1), 4 * kChunk, 10 * kNsPerSec);
@@ -205,11 +203,9 @@ TEST(TransportStackTest, WireAddsLatency) {
 TEST(WritePolicyTest, WriteThroughPersistsImmediately) {
   auto node = TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3);
   StripeManager& stripes = node->stripes();
-  BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-  CacheManagerConfig cfg;
-  cfg.write_policy = WritePolicy::kWriteThrough;
-  CacheManager cache(node->target(), node->plane(), backend, cfg);
-  cache.Initialize(0);
+  auto side = TestCache(*node, {.write_policy = WritePolicy::kWriteThrough});
+  BackendStore& backend = side->backend;
+  CacheManager& cache = side->cache;
   backend.RegisterObject(Oid(1), 3 * kChunk, stripes.PhysicalSize(3 * kChunk));
 
   auto w = cache.Put(Oid(1), 3 * kChunk, 0);
@@ -224,18 +220,18 @@ TEST(WritePolicyTest, WriteThroughPersistsImmediately) {
   EXPECT_EQ(cache.stats().dirty_lost, 0u);
   // Reads hit the clean cached copy and verify.
   auto r = cache.Get(Oid(1), 3 * kChunk, w.latency);
-  if (r.hit) EXPECT_EQ(cache.stats().verify_failures, 0u);
+  if (r.hit) {
+    EXPECT_EQ(cache.stats().verify_failures, 0u);
+  }
 }
 
 TEST(WritePolicyTest, WriteThroughIsSlowerThanWriteBack) {
   auto run = [](WritePolicy policy) {
     auto node = TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3);
     StripeManager& stripes = node->stripes();
-    BackendStore backend(HddConfig{}, NetworkLinkConfig{});
-    CacheManagerConfig cfg;
-    cfg.write_policy = policy;
-    CacheManager cache(node->target(), node->plane(), backend, cfg);
-    cache.Initialize(0);
+    auto side = TestCache(*node, {.write_policy = policy});
+    BackendStore& backend = side->backend;
+    CacheManager& cache = side->cache;
     backend.RegisterObject(Oid(1), 3 * kChunk, stripes.PhysicalSize(3 * kChunk));
     return cache.Put(Oid(1), 3 * kChunk, 0).latency;
   };

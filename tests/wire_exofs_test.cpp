@@ -21,8 +21,7 @@ struct WireFsFixture {
   WireFsFixture()
       : node(TestNode(1 << 20, kChunk, ProtectionMode::kReo, 0.3)) {
     transport = std::make_unique<OsdTransport>(*target);
-    initiator = std::make_unique<OsdInitiator>(*target);
-    initiator->UseTransport(transport.get());
+    initiator = std::make_unique<OsdInitiator>(*transport);
     fs = std::make_unique<ExofsClient>(
         *initiator, [this](uint64_t l) { return stripes->PhysicalSize(l); });
   }

@@ -12,8 +12,8 @@
 //   admin_probe --port-file port.txt --lint stats
 //   admin_probe --port-file port.txt --arg 10 series
 //   admin_probe --endpoints 127.0.0.1:9555,127.0.0.1:9556 health
-//   admin_probe --port-file port.txt --lint \
-//       --expect-zero counters.server.crc_errors \
+//   admin_probe --port-file port.txt --lint
+//       --expect-zero counters.server.crc_errors
 //       --expect-zero counters.fault.crc_unrepaired stats
 //
 // Exit codes: 0 ok; 1 an --expect-zero value was nonzero; 2 usage /

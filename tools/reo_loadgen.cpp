@@ -43,6 +43,7 @@
 #include <cstring>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -57,7 +58,7 @@
 #include "common/zipf.h"
 #include "fault/fault_spec.h"
 #include "loadgen_exit.h"
-#include "osd/control_protocol.h"
+#include "osd/osd_initiator.h"
 #include "server/socket_initiator.h"
 #include "telemetry/bench_json.h"
 #include "telemetry/metric_registry.h"
@@ -176,6 +177,17 @@ SocketInitiatorConfig ChaosInitiatorConfig(const Options& opt, uint64_t salt) {
   return cfg;
 }
 
+/// Cluster client posture: receive deadlines so a killed node fails fast
+/// instead of hanging a worker; per-instance seeds keep the reconnect
+/// jitter streams distinct (on top of the per-node streams inside).
+ClusterInitiatorConfig ClusterConfigFor(const Options& opt, uint64_t salt) {
+  ClusterInitiatorConfig cfg;
+  cfg.session.receive_timeout_ms = 15000;
+  cfg.session.retry_backoff_ms = 20;
+  cfg.session.seed = opt.seed + salt;
+  return cfg;
+}
+
 /// Acknowledged-write bookkeeping shared by the worker threads.
 std::atomic<uint64_t> g_acked_writes{0};
 std::atomic<bool> g_killed{false};
@@ -230,20 +242,18 @@ std::vector<uint8_t> PayloadFor(uint32_t rank, uint64_t bytes) {
   return data;
 }
 
-OsdCommand MakeWrite(uint32_t rank, uint64_t bytes) {
-  OsdCommand c;
-  c.op = OsdOp::kWrite;
-  c.id = IdForRank(rank);
-  c.logical_size = bytes;
-  c.data = PayloadFor(rank, bytes);
-  return c;
+/// The server may return chunk-padded payloads; the logical-size prefix
+/// must match exactly.
+bool Matches(const OsdResponse& resp, std::span<const uint8_t> want) {
+  return resp.data.size() >= want.size() &&
+         std::equal(want.begin(), want.end(), resp.data.begin());
 }
 
-/// Per-rank payload cache for the timed run. PayloadFor is deterministic
-/// but costs a PCG call per byte — regenerating 64 KiB per read-verify
-/// (and per write) burned more client CPU than the whole wire round trip,
-/// so the harness was largely measuring itself. Built once before the
-/// clock starts; shared read-only across workers.
+/// Per-rank payload cache for populate and the timed run. PayloadFor is
+/// deterministic but costs a PCG call per byte — regenerating 64 KiB per
+/// read-verify (and per write) burned more client CPU than the whole wire
+/// round trip, so the harness was largely measuring itself. Built once
+/// before the clock starts; shared read-only across workers.
 class PayloadCache {
  public:
   PayloadCache(uint32_t objects, uint64_t bytes) {
@@ -258,44 +268,124 @@ class PayloadCache {
   std::vector<std::vector<uint8_t>> payloads_;
 };
 
+bool Ok(const OsdResponse& resp) { return resp.ok(); }
+bool Ok(SenseCode sense) { return sense == SenseCode::kOk; }
+
+/// One client session: a SocketInitiator to --host/--port, or a
+/// ClusterInitiator over the --cluster members. Opening one is the only
+/// place the loadgen tells the two apart; every command goes through
+/// osd(), the typed OsdInitiator over whichever channel was opened.
+/// `salt` keeps each session's reconnect-jitter streams distinct.
+class Session {
+ public:
+  Session(const Options& opt, uint64_t salt) : opt_(opt) {
+    if (opt.cluster.empty()) {
+      socket_.emplace(opt.chaos ? ChaosInitiatorConfig(opt, salt)
+                                : SocketInitiatorConfig{});
+      osd_.emplace(*socket_);
+      return;
+    }
+    cluster_.emplace(opt.cluster, ClusterConfigFor(opt, salt));
+    osd_.emplace(*cluster_);
+    // Seed the classes populate assigns, so power-of-two read counts
+    // re-hint hotness to the survivors (hot-before-cold refetch ordering).
+    for (uint32_t rank = 0; rank < opt.objects; ++rank) {
+      int cls = ClassOfRank(opt, rank);
+      if (cls >= 0) {
+        cluster_->NoteObject(IdForRank(rank), static_cast<uint8_t>(cls));
+      }
+    }
+  }
+  // osd_ refers into this object.
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+
+  Status Open() {
+    return socket_ ? socket_->Connect(opt_.host, opt_.port)
+                   : cluster_->ConnectAll();
+  }
+
+  OsdInitiator& osd() { return *osd_; }
+  /// The cluster under a --cluster session (null otherwise).
+  ClusterInitiator* cluster() { return cluster_ ? &*cluster_ : nullptr; }
+
+  /// A single-node session whose connection dropped. A cluster session
+  /// routes around dead nodes by itself and never reports one.
+  bool lost() const { return socket_ && !socket_->connected(); }
+  bool Reconnect() {
+    return socket_ && socket_->Connect(opt_.host, opt_.port).ok();
+  }
+
+  /// Runs one typed call; in chaos mode against one node, a failed call
+  /// is retried (reconnecting first if the session dropped) up to
+  /// `attempts` times in all. Loadgen payloads are content-stable per
+  /// rank, so any replay is safe. A cluster fails over by itself.
+  template <typename Call>
+  auto Retry(int attempts, Call call) {
+    auto result = call(*osd_);
+    for (int r = 1; !Ok(result) && opt_.chaos && socket_ && r < attempts;
+         ++r) {
+      if (lost() && !Reconnect()) break;
+      result = call(*osd_);
+    }
+    return result;
+  }
+
+  /// The acked-object contract: one node must serve everything it acked;
+  /// a cluster may lose a killed node's class-2/3 objects to clean misses
+  /// (the cache refills them from the backend), never class 0/1.
+  bool MayMiss(int cls) const { return cluster_ && cls != 0 && cls != 1; }
+
+  SocketInitiatorStats wire() const {
+    return socket_ ? socket_->stats() : cluster_->WireStats();
+  }
+  ClusterInitiatorStats cluster_stats() const {
+    return cluster_ ? cluster_->stats() : ClusterInitiatorStats{};
+  }
+  bool wire_errors() const {
+    SocketInitiatorStats w = wire();
+    return w.crc_errors + w.frame_errors + w.decode_errors > 0;
+  }
+
+ private:
+  const Options& opt_;
+  std::optional<SocketInitiator> socket_;
+  std::optional<ClusterInitiator> cluster_;
+  std::optional<OsdInitiator> osd_;
+};
+
+/// One closed-loop worker. Mid-run failures are tolerated where the mode
+/// expects them: in chaos mode a dropped connection is re-established
+/// (the failed op counts as a sense error); in kill mode the server
+/// vanishing is the point; a cluster re-routes around a dead node, and a
+/// write the ring could not place is simply not acked.
 void Worker(const Options& opt, const ZipfSampler& zipf,
             const PayloadCache& payloads, size_t index, WorkerResult* out) {
-  SocketInitiator client(opt.chaos
-                             ? ChaosInitiatorConfig(opt, 0x100 + index)
-                             : SocketInitiatorConfig{});
-  Status st = client.Connect(opt.host, opt.port);
+  Session session(opt, 0x100 + index);
+  Status st = session.Open();
   if (!st.ok()) {
     out->fatal = st;
     return;
   }
+  OsdInitiator& osd = session.osd();
   Pcg32 rng(opt.seed + 0x1000 + index, /*stream=*/index);
   for (uint64_t i = 0; i < opt.requests; ++i) {
     uint32_t rank = zipf.Sample(rng);
     bool is_write = rng.NextDouble() < opt.write_ratio;
-    OsdCommand cmd;
-    if (is_write) {
-      std::span<const uint8_t> p = payloads.Of(rank);
-      cmd.op = OsdOp::kWrite;
-      cmd.id = IdForRank(rank);
-      cmd.logical_size = p.size();
-      cmd.data.assign(p.begin(), p.end());
-    } else {
-      cmd.op = OsdOp::kRead;
-      cmd.id = IdForRank(rank);
-    }
+    std::span<const uint8_t> payload = payloads.Of(rank);
     auto start = std::chrono::steady_clock::now();
-    OsdResponse resp = client.Roundtrip(cmd);
+    OsdResponse resp =
+        is_write
+            ? osd.WriteObject(IdForRank(rank), payload, payload.size(), 0)
+            : osd.ReadObject(IdForRank(rank), 0);
     double us = std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-    if (!client.connected()) {
-      // In chaos mode a dropped session is a tolerable fault: re-establish
-      // and keep going (the failed op already counted as a sense error).
-      if (opt.chaos && client.Connect(opt.host, opt.port).ok()) {
+    if (session.lost()) {
+      if (opt.chaos && session.Reconnect()) {
         ++out->sense_errors;
         continue;
       }
-      // In kill mode the server vanishing is the point, not a failure.
       if (!g_killed.load()) {
         out->fatal = Status{ErrorCode::kUnavailable, "connection lost mid-run"};
       }
@@ -305,130 +395,59 @@ void Worker(const Options& opt, const ZipfSampler& zipf,
     out->all_us.Add(us);
     ++(is_write ? out->writes : out->reads);
     if (is_write && resp.ok()) {
-      // This response means the server committed (and, for replicated
-      // classes, fsynced) the write before answering: from here on a crash
-      // must not lose it. Record it, and pull the trigger at the threshold.
+      // This response means the owning server committed (and, for
+      // replicated classes, fsynced) the write before answering: from
+      // here on a crash must not lose it. Record it, and pull the trigger
+      // at the threshold.
       out->acked_ranks.push_back(rank);
       uint64_t acked = g_acked_writes.fetch_add(1) + 1;
       if (opt.kill_after > 0 && acked == opt.kill_after) KillServer(opt);
     }
     if (!resp.ok()) {
       if (!g_killed.load()) ++out->sense_errors;
-    } else if (!is_write && opt.verify) {
-      // The server may return chunk-padded payloads; the logical-size
-      // prefix must match exactly. Compare against the cache — no
-      // allocation or regeneration on the timed path.
-      std::span<const uint8_t> want = payloads.Of(rank);
-      if (resp.data.size() < want.size() ||
-          !std::equal(want.begin(), want.end(), resp.data.begin())) {
-        ++out->verify_errors;
-      }
+    } else if (!is_write && opt.verify && !Matches(resp, payload)) {
+      // Compared against the cache: no allocation or regeneration on the
+      // timed path.
+      ++out->verify_errors;
     }
   }
-  out->wire = client.stats();
+  out->wire = session.wire();
+  out->cluster = session.cluster_stats();
 }
 
-/// One command with bounded application-level retries (chaos mode only).
-/// Loadgen write payloads are content-stable per rank, so replaying any of
-/// these commands is safe.
-OsdResponse RoundtripWithRetry(const Options& opt, SocketInitiator& client,
-                               const OsdCommand& cmd, int attempts) {
-  OsdResponse resp = client.Roundtrip(cmd);
-  for (int r = 1; !resp.ok() && opt.chaos && r < attempts; ++r) {
-    if (!client.connected() && !client.Connect(opt.host, opt.port).ok()) break;
-    resp = client.Roundtrip(cmd);
-  }
-  return resp;
-}
-
-/// Reads back every acknowledged write after the chaos run and proves the
-/// reliability contract: nothing acked may be missing or wrong, no matter
-/// what the fault spec injected underneath.
-int ChaosDrainVerify(const Options& opt, const std::set<uint32_t>& acked) {
-  SocketInitiator client(ChaosInitiatorConfig(opt, 0xd7a1));
-  Status st = client.Connect(opt.host, opt.port);
-  if (!st.ok()) {
-    std::fprintf(stderr, "chaos drain-verify connect failed: %s\n",
-                 st.to_string().c_str());
-    return 1;
-  }
-  uint64_t missing = 0, mismatched = 0;
-  for (uint32_t rank : acked) {
-    OsdCommand read;
-    read.op = OsdOp::kRead;
-    read.id = IdForRank(rank);
-    OsdResponse resp = RoundtripWithRetry(opt, client, read, 6);
-    if (!resp.ok()) {
-      ++missing;
-      std::fprintf(stderr, "rank %u: acked write unreadable under chaos"
-                   " (sense %s)\n", rank,
-                   std::string(to_string(resp.sense)).c_str());
-      continue;
-    }
-    std::vector<uint8_t> want = PayloadFor(rank, opt.object_bytes);
-    if (resp.data.size() < want.size() ||
-        !std::equal(want.begin(), want.end(), resp.data.begin())) {
-      ++mismatched;
-      std::fprintf(stderr, "rank %u: payload corrupt under chaos\n", rank);
-    }
-  }
-  std::printf("chaos drain-verify: %zu acked objects, %llu missing,"
-              " %llu corrupt\n", acked.size(),
-              static_cast<unsigned long long>(missing),
-              static_cast<unsigned long long>(mismatched));
-  if (mismatched > 0) return 3;
-  if (missing > 0) return 4;
-  return 0;
-}
-
-/// Assigns `class_id` to the object via the #SETID# control channel, the
-/// same path the cache manager's classifier uses.
-Status Classify(const Options& opt, SocketInitiator& client, uint32_t rank,
-                uint8_t class_id) {
-  OsdCommand ctl;
-  ctl.op = OsdOp::kWrite;
-  ctl.id = kControlObject;
-  ctl.data = EncodeControlMessage(
-      SetIdCommand{.target = IdForRank(rank), .class_id = class_id});
-  ctl.logical_size = ctl.data.size();
-  if (!RoundtripWithRetry(opt, client, ctl, 4).ok()) {
-    return Status{ErrorCode::kInternal,
-                  "SETID failed for rank " + std::to_string(rank)};
-  }
-  return Status::Ok();
-}
-
-/// Writes every object once so the measured phase reads warm data.
-/// Populate writes count as acknowledged too: the server committed them.
-Status Populate(const Options& opt, std::vector<uint32_t>* acked_ranks) {
-  SocketInitiator client(opt.chaos ? ChaosInitiatorConfig(opt, 0x90b)
-                                   : SocketInitiatorConfig{});
-  REO_RETURN_IF_ERROR(client.Connect(opt.host, opt.port));
-
+/// Writes every object once so the measured phase reads warm data: FORMAT
+/// (fanned out to every member of a cluster), then per object CREATE,
+/// SETID when a class is configured (on a cluster this also places the
+/// #OWNER# hint on the ring successor), and WRITE. Populate writes count
+/// as acknowledged too: the server committed them.
+Status Populate(const Options& opt, const PayloadCache& payloads,
+                std::vector<uint32_t>* acked_ranks) {
+  Session session(opt, 0x90b);
+  REO_RETURN_IF_ERROR(session.Open());
   // FORMAT also creates the first user partition (exofs convention).
-  OsdCommand format;
-  format.op = OsdOp::kFormat;
-  format.capacity_bytes = 4 * opt.objects * opt.object_bytes;
-  if (!client.Roundtrip(format).ok()) {
+  if (!session.osd().FormatOsd(4 * opt.objects * opt.object_bytes).ok()) {
     return Status{ErrorCode::kInternal, "FORMAT failed"};
   }
-
   for (uint32_t rank = 0; rank < opt.objects; ++rank) {
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = IdForRank(rank);
-    create.logical_size = opt.object_bytes;
-    if (!RoundtripWithRetry(opt, client, create, 4).ok()) {
+    ObjectId id = IdForRank(rank);
+    if (!session
+             .Retry(4, [&](OsdInitiator& osd) {
+               return osd.CreateObject(id, opt.object_bytes, 0);
+             })
+             .ok()) {
       return Status{ErrorCode::kInternal,
                     "CREATE failed for rank " + std::to_string(rank)};
     }
     int cls = ClassOfRank(opt, rank);
-    if (cls >= 0) {
-      REO_RETURN_IF_ERROR(
-          Classify(opt, client, rank, static_cast<uint8_t>(cls)));
+    if (cls >= 0 && !Ok(session.Retry(4, [&](OsdInitiator& osd) {
+          return osd.SetClassId(id, static_cast<uint8_t>(cls), 0);
+        }))) {
+      return Status{ErrorCode::kInternal,
+                    "SETID failed for rank " + std::to_string(rank)};
     }
-    OsdResponse wr =
-        RoundtripWithRetry(opt, client, MakeWrite(rank, opt.object_bytes), 4);
+    OsdResponse wr = session.Retry(4, [&](OsdInitiator& osd) {
+      return osd.WriteObject(id, payloads.Of(rank), opt.object_bytes, 0);
+    });
     if (!wr.ok()) {
       return Status{ErrorCode::kInternal,
                     "populate WRITE failed for rank " + std::to_string(rank) +
@@ -436,131 +455,10 @@ Status Populate(const Options& opt, std::vector<uint32_t>* acked_ranks) {
     }
     if (acked_ranks != nullptr) acked_ranks->push_back(rank);
   }
-  const SocketInitiatorStats& w = client.stats();
-  if (w.crc_errors + w.frame_errors + w.decode_errors > 0) {
+  if (session.wire_errors()) {
     return Status{ErrorCode::kCorrupted, "wire errors during populate"};
   }
   return Status::Ok();
-}
-
-// --- Cluster mode -----------------------------------------------------------
-
-/// Cluster client posture: receive deadlines so a killed node fails fast
-/// instead of hanging a worker; per-instance seeds keep the reconnect
-/// jitter streams distinct (on top of the per-node streams inside).
-ClusterInitiatorConfig ClusterConfigFor(const Options& opt, uint64_t salt) {
-  ClusterInitiatorConfig cfg;
-  cfg.session.receive_timeout_ms = 15000;
-  cfg.session.retry_backoff_ms = 20;
-  cfg.session.seed = opt.seed + salt;
-  return cfg;
-}
-
-/// Cluster populate: FORMAT fans out to every member; each object is
-/// then created + classified (placing its #OWNER# hint on the ring
-/// successor) + written on its ring owner. Runs pre-kill on a healthy
-/// cluster, so failures are setup errors, not tolerated faults.
-Status ClusterPopulate(const Options& opt, std::vector<uint32_t>* acked_ranks) {
-  ClusterInitiator cluster(opt.cluster, ClusterConfigFor(opt, 0x90b));
-  REO_RETURN_IF_ERROR(cluster.ConnectAll());
-  OsdCommand format;
-  format.op = OsdOp::kFormat;
-  format.capacity_bytes = 4 * opt.objects * opt.object_bytes;
-  if (!cluster.Roundtrip(format).ok()) {
-    return Status{ErrorCode::kInternal, "cluster FORMAT failed"};
-  }
-  for (uint32_t rank = 0; rank < opt.objects; ++rank) {
-    OsdCommand create;
-    create.op = OsdOp::kCreate;
-    create.id = IdForRank(rank);
-    create.logical_size = opt.object_bytes;
-    if (!cluster.Roundtrip(create).ok()) {
-      return Status{ErrorCode::kInternal,
-                    "cluster CREATE failed for rank " + std::to_string(rank)};
-    }
-    int cls = ClassOfRank(opt, rank);
-    if (cls >= 0 &&
-        !cluster.Classify(IdForRank(rank), static_cast<uint8_t>(cls)).ok()) {
-      return Status{ErrorCode::kInternal,
-                    "cluster SETID failed for rank " + std::to_string(rank)};
-    }
-    if (!cluster.Roundtrip(MakeWrite(rank, opt.object_bytes)).ok()) {
-      return Status{ErrorCode::kInternal,
-                    "cluster populate WRITE failed for rank " +
-                        std::to_string(rank)};
-    }
-    if (acked_ranks != nullptr) acked_ranks->push_back(rank);
-  }
-  SocketInitiatorStats w = cluster.WireStats();
-  if (w.crc_errors + w.frame_errors + w.decode_errors > 0) {
-    return Status{ErrorCode::kCorrupted, "wire errors during cluster populate"};
-  }
-  return Status::Ok();
-}
-
-/// Cluster-mode worker: the same closed loop as Worker, routed through
-/// the ring with failover. Mid-run failures are the point of the drill:
-/// a failed op counts as a sense error (or, post-kill, as expected
-/// fallout) and the loop keeps going — the ClusterInitiator re-routes
-/// around the dead node on its own.
-void ClusterWorker(const Options& opt, const ZipfSampler& zipf,
-                   const PayloadCache& payloads, size_t index,
-                   WorkerResult* out) {
-  ClusterInitiator cluster(opt.cluster, ClusterConfigFor(opt, 0x100 + index));
-  Status st = cluster.ConnectAll();
-  if (!st.ok()) {
-    out->fatal = st;
-    return;
-  }
-  // Seed the classes populate assigned, so power-of-two read counts
-  // re-hint hotness to the survivors (hot-before-cold refetch ordering).
-  for (uint32_t rank = 0; rank < opt.objects; ++rank) {
-    int cls = ClassOfRank(opt, rank);
-    if (cls >= 0) cluster.NoteObject(IdForRank(rank), static_cast<uint8_t>(cls));
-  }
-  Pcg32 rng(opt.seed + 0x1000 + index, /*stream=*/index);
-  for (uint64_t i = 0; i < opt.requests; ++i) {
-    uint32_t rank = zipf.Sample(rng);
-    bool is_write = rng.NextDouble() < opt.write_ratio;
-    OsdCommand cmd;
-    if (is_write) {
-      std::span<const uint8_t> p = payloads.Of(rank);
-      cmd.op = OsdOp::kWrite;
-      cmd.id = IdForRank(rank);
-      cmd.logical_size = p.size();
-      cmd.data.assign(p.begin(), p.end());
-    } else {
-      cmd.op = OsdOp::kRead;
-      cmd.id = IdForRank(rank);
-    }
-    auto start = std::chrono::steady_clock::now();
-    OsdResponse resp = cluster.Roundtrip(cmd);
-    double us = std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    (is_write ? out->write_us : out->read_us).Add(us);
-    out->all_us.Add(us);
-    ++(is_write ? out->writes : out->reads);
-    if (is_write && resp.ok()) {
-      // Same ack contract as single-node: the owning node committed (and
-      // for class 0/1, fsync'd) before answering. A write the ring could
-      // not place is NOT acked — never blindly resent to another node.
-      out->acked_ranks.push_back(rank);
-      uint64_t acked = g_acked_writes.fetch_add(1) + 1;
-      if (opt.kill_after > 0 && acked == opt.kill_after) KillServer(opt);
-    }
-    if (!resp.ok()) {
-      if (!g_killed.load()) ++out->sense_errors;
-    } else if (!is_write && opt.verify) {
-      std::span<const uint8_t> want = payloads.Of(rank);
-      if (resp.data.size() < want.size() ||
-          !std::equal(want.begin(), want.end(), resp.data.begin())) {
-        ++out->verify_errors;
-      }
-    }
-  }
-  out->wire = cluster.WireStats();
-  out->cluster = cluster.stats();
 }
 
 /// The "backend" of the node-kill drill: the deterministic payload
@@ -576,64 +474,82 @@ Result<std::vector<uint8_t>> OriginFetch(const Options& opt, ObjectId id) {
   return PayloadFor(static_cast<uint32_t>(id.oid - base), opt.object_bytes);
 }
 
-/// Reads each acked rank back through the ring and applies the per-class
-/// contract: class 0/1 must be served with exact bytes (post-recovery,
-/// without any backend fall-through); class 2/3 may degrade to clean
-/// misses; anything served must byte-match. Exit 3 corrupt, 4 lost.
-int ClusterVerifyRanks(const Options& opt, ClusterInitiator& cluster,
-                       const std::set<uint32_t>& ranks, const char* label) {
-  uint64_t missing = 0, mismatched = 0, degraded = 0;
+/// Reads every acked rank back and proves the reliability contract:
+/// anything served must byte-match (exit 3 otherwise), and an acked object
+/// that reads back missing is loss (exit 4) unless the session's contract
+/// allows a clean miss for its class (Session::MayMiss). A single-node
+/// session that drops outside chaos mode cannot finish the pass (exit 1);
+/// wire corruption exits 2. In chaos mode each read gets `attempts` tries.
+int VerifyAcked(const Options& opt, Session& session,
+                const std::set<uint32_t>& ranks, const char* label,
+                int attempts) {
+  uint64_t missing = 0, mismatched = 0, clean_misses = 0;
   for (uint32_t rank : ranks) {
-    OsdCommand read;
-    read.op = OsdOp::kRead;
-    read.id = IdForRank(rank);
-    OsdResponse resp = cluster.Roundtrip(read);
+    OsdResponse resp = session.Retry(attempts, [&](OsdInitiator& osd) {
+      return osd.ReadObject(IdForRank(rank), 0);
+    });
+    if (session.lost() && !opt.chaos) {
+      std::fprintf(stderr, "connection lost during %s\n", label);
+      return 1;
+    }
     int cls = ClassOfRank(opt, rank);
     if (!resp.ok()) {
-      if (cls == 0 || cls == 1) {
-        ++missing;
-        std::fprintf(stderr,
-                     "rank %u (class %d): acked object lost in %s (sense"
-                     " %s)\n", rank, cls, label,
-                     std::string(to_string(resp.sense)).c_str());
-      } else {
-        ++degraded;  // clean miss: the cache refills it from the backend
+      if (session.MayMiss(cls)) {
+        ++clean_misses;  // the cache refills it from the backend
+        continue;
       }
+      ++missing;
+      std::fprintf(stderr, "rank %u (class %d): acked object missing in %s"
+                   " (sense %s)\n", rank, cls, label,
+                   std::string(to_string(resp.sense)).c_str());
       continue;
     }
-    std::vector<uint8_t> want = PayloadFor(rank, opt.object_bytes);
-    if (resp.data.size() < want.size() ||
-        !std::equal(want.begin(), want.end(), resp.data.begin())) {
+    if (!Matches(resp, PayloadFor(rank, opt.object_bytes))) {
       ++mismatched;
       std::fprintf(stderr, "rank %u (class %d): payload corrupt in %s\n",
                    rank, cls, label);
     }
   }
-  std::printf("%s: %zu acked objects, %llu lost (class 0/1), %llu corrupt,"
-              " %llu degraded to clean misses (class 2/3)\n",
+  std::printf("%s: %zu acked objects, %llu missing, %llu corrupt, %llu"
+              " clean misses (cluster class 2/3)\n",
               label, ranks.size(), static_cast<unsigned long long>(missing),
               static_cast<unsigned long long>(mismatched),
-              static_cast<unsigned long long>(degraded));
+              static_cast<unsigned long long>(clean_misses));
+  if (session.wire_errors()) return 2;
   if (mismatched > 0) return 3;
   if (missing > 0) return 4;
   return 0;
+}
+
+/// Opens a fresh session and runs VerifyAcked over it (exit 1 when it
+/// cannot connect).
+int OpenAndVerify(const Options& opt, uint64_t salt,
+                  const std::set<uint32_t>& ranks, const char* label,
+                  int attempts) {
+  Session session(opt, salt);
+  Status st = session.Open();
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s connect failed: %s\n", label,
+                 st.to_string().c_str());
+    return 1;
+  }
+  return VerifyAcked(opt, session, ranks, label, attempts);
 }
 
 /// Post-kill phase of the node-kill drill: announce the death to the
 /// survivors, run the differentiated cross-node recovery (class 0/1
 /// refetched from the origin, class 0 before 1, hot before cold; 2/3
 /// degrade), then drain-verify every acked object per class.
-int ClusterRecoverAndVerify(const Options& opt,
-                            const std::set<uint32_t>& acked) {
-  ClusterInitiator cluster(opt.cluster, ClusterConfigFor(opt, 0xd7a1));
-  Status st = cluster.ConnectAll();
+int RecoverAndVerify(const Options& opt, const std::set<uint32_t>& acked) {
+  Session session(opt, 0xd7a1);
+  Status st = session.Open();
   if (!st.ok()) {
     std::fprintf(stderr, "cluster recovery connect failed: %s\n",
                  st.to_string().c_str());
     return 1;
   }
   ClusterRecoveryDriver driver(
-      cluster, [&opt](ObjectId id) { return OriginFetch(opt, id); });
+      *session.cluster(), [&opt](ObjectId id) { return OriginFetch(opt, id); });
   auto report = driver.Recover(static_cast<uint32_t>(opt.kill_node));
   if (!report.ok()) {
     std::fprintf(stderr, "cluster recovery failed: %s\n",
@@ -651,12 +567,12 @@ int ClusterRecoverAndVerify(const Options& opt,
               static_cast<unsigned long long>(report->clean_miss_class2),
               static_cast<unsigned long long>(report->clean_miss_class3),
               static_cast<unsigned long long>(report->refetch_failures));
-  return ClusterVerifyRanks(opt, cluster, acked, "cluster drain-verify");
+  return VerifyAcked(opt, session, acked, "cluster drain-verify", 1);
 }
 
-/// Verify-only mode: reads every rank listed in the manifest back and
-/// checks contents against the deterministic payload. Any acknowledged
-/// object that is missing or wrong after a restart is durability loss.
+/// Verify-only mode: reads every rank listed in the manifest back (after
+/// a restart, or with a killed cluster member still down) and applies the
+/// acked-object contract to each.
 int VerifyManifest(const Options& opt) {
   auto text = ReadFileToString(opt.verify_manifest);
   if (!text.ok()) {
@@ -672,54 +588,7 @@ int VerifyManifest(const Options& opt) {
     if (line.empty()) continue;
     ranks.insert(static_cast<uint32_t>(std::strtoul(line.c_str(), nullptr, 10)));
   }
-  if (!opt.cluster.empty()) {
-    // Cluster manifests verify through the ring with the per-class
-    // contract (a killed member may still be down when this runs).
-    ClusterInitiator cluster(opt.cluster, ClusterConfigFor(opt, 0x3e1f));
-    Status st = cluster.ConnectAll();
-    if (!st.ok()) {
-      std::fprintf(stderr, "cluster connect failed: %s\n",
-                   st.to_string().c_str());
-      return 1;
-    }
-    return ClusterVerifyRanks(opt, cluster, ranks, "cluster manifest-verify");
-  }
-  SocketInitiator client;
-  Status st = client.Connect(opt.host, opt.port);
-  if (!st.ok()) {
-    std::fprintf(stderr, "connect failed: %s\n", st.to_string().c_str());
-    return 1;
-  }
-  uint64_t missing = 0, mismatched = 0;
-  for (uint32_t rank : ranks) {
-    OsdCommand read;
-    read.op = OsdOp::kRead;
-    read.id = IdForRank(rank);
-    OsdResponse resp = client.Roundtrip(read);
-    if (!client.connected()) {
-      std::fprintf(stderr, "connection lost during verify\n");
-      return 1;
-    }
-    if (!resp.ok()) {
-      ++missing;
-      std::fprintf(stderr, "rank %u: acked write missing after restart"
-                   " (sense %s)\n", rank,
-                   std::string(to_string(resp.sense)).c_str());
-      continue;
-    }
-    std::vector<uint8_t> want = PayloadFor(rank, opt.object_bytes);
-    if (resp.data.size() < want.size() ||
-        !std::equal(want.begin(), want.end(), resp.data.begin())) {
-      ++mismatched;
-      std::fprintf(stderr, "rank %u: payload mismatch after restart\n", rank);
-    }
-  }
-  const SocketInitiatorStats& w = client.stats();
-  std::printf("verified %zu acked objects: %llu missing, %llu mismatched\n",
-              ranks.size(), static_cast<unsigned long long>(missing),
-              static_cast<unsigned long long>(mismatched));
-  if (w.crc_errors + w.frame_errors + w.decode_errors > 0) return 2;
-  return (missing + mismatched > 0) ? 4 : 0;
+  return OpenAndVerify(opt, 0x3e1f, ranks, "manifest verify", 1);
 }
 
 void Usage(const char* argv0) {
@@ -745,7 +614,8 @@ void Usage(const char* argv0) {
       "  --kill-pid-file PATH file holding the server pid (for --kill-after)\n"
       "  --ack-manifest PATH  record acknowledged write ranks, one per line\n"
       "  --verify-manifest PATH  verify-only mode: read each listed rank\n"
-      "                       back and compare contents (exit 4 on loss)\n"
+      "                       back and compare contents (exit 3 on\n"
+      "                       corruption, 4 on loss)\n"
       "chaos testing:\n"
       "  --chaos-spec PATH    the fault spec the server is running with\n"
       "                       (reo_server --fault-spec). Turns on client\n"
@@ -850,9 +720,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  PayloadCache payloads(opt.objects, opt.object_bytes);
   std::vector<uint32_t> populate_acks;
-  Status setup = opt.cluster.empty() ? Populate(opt, &populate_acks)
-                                     : ClusterPopulate(opt, &populate_acks);
+  Status setup = Populate(opt, payloads, &populate_acks);
   if (!setup.ok()) {
     std::fprintf(stderr, "populate failed: %s\n", setup.to_string().c_str());
     return 1;
@@ -865,7 +735,6 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   ZipfSampler zipf(opt.objects, opt.zipf_skew);
-  PayloadCache payloads(opt.objects, opt.object_bytes);
   std::vector<WorkerResult> results(opt.connections);
   uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
   double cpu_before = ProcessCpuSeconds();
@@ -874,8 +743,7 @@ int main(int argc, char** argv) {
     std::vector<std::thread> threads;
     threads.reserve(opt.connections);
     for (size_t i = 0; i < opt.connections; ++i) {
-      threads.emplace_back(opt.cluster.empty() ? Worker : ClusterWorker,
-                           std::cref(opt), std::cref(zipf),
+      threads.emplace_back(Worker, std::cref(opt), std::cref(zipf),
                            std::cref(payloads), i, &results[i]);
     }
     for (auto& t : threads) t.join();
@@ -1024,13 +892,14 @@ int main(int argc, char** argv) {
     }
     std::printf("telemetry snapshot -> %s\n", opt.stats_out.c_str());
   }
+  // Every rank any connection saw acknowledged, deduped: the exact set
+  // the post-restart (or post-chaos, post-kill) verify pass must find
+  // intact.
+  std::set<uint32_t> acked(populate_acks.begin(), populate_acks.end());
+  for (const WorkerResult& r : results) {
+    acked.insert(r.acked_ranks.begin(), r.acked_ranks.end());
+  }
   if (!opt.ack_manifest.empty()) {
-    // Every rank any connection saw acknowledged, deduped: the exact set
-    // the post-restart verify pass must find intact.
-    std::set<uint32_t> acked(populate_acks.begin(), populate_acks.end());
-    for (const WorkerResult& r : results) {
-      acked.insert(r.acked_ranks.begin(), r.acked_ranks.end());
-    }
     std::ostringstream manifest;
     for (uint32_t rank : acked) manifest << rank << "\n";
     Status wf = WriteFileAtomic(opt.ack_manifest, manifest.str());
@@ -1060,25 +929,14 @@ int main(int argc, char** argv) {
   }
   if (code != 0) return code;
   if (outcome.kill_mode) {
-    // Cluster kill mode keeps going: the survivors are still serving, so
-    // the cross-node recovery and the per-class drain-verify run now.
-    if (!opt.cluster.empty() && opt.kill_node >= 0) {
-      std::set<uint32_t> acked(populate_acks.begin(), populate_acks.end());
-      for (const WorkerResult& r : results) {
-        acked.insert(r.acked_ranks.begin(), r.acked_ranks.end());
-      }
-      return ClusterRecoverAndVerify(opt, acked);
-    }
-    // Single-node kill mode ends here: the server is gone, nothing to
-    // drain.
-    return 0;
+    // Node-kill mode (--kill-node implies --cluster) keeps going: the
+    // survivors are still serving, so the cross-node recovery and the
+    // per-class drain-verify run now. Killing the only server ends the
+    // run: nothing is left to drain.
+    return opt.kill_node >= 0 ? RecoverAndVerify(opt, acked) : 0;
   }
   if (opt.chaos) {
-    std::set<uint32_t> acked(populate_acks.begin(), populate_acks.end());
-    for (const WorkerResult& r : results) {
-      acked.insert(r.acked_ranks.begin(), r.acked_ranks.end());
-    }
-    return ChaosDrainVerify(opt, acked);
+    return OpenAndVerify(opt, 0xd7a1, acked, "chaos drain-verify", 6);
   }
   return 0;
 }
