@@ -212,13 +212,13 @@ Result<ArrayIo> StripeManager::RebuildObject(ObjectId id, SimTime now) {
       REO_RETURN_IF_ERROR(DecodeStripe(stripe, decoded, now, io));
     }
 
-    // Materialize data chunk buffers for parity re-encoding if needed.
+    // Materialize data chunk buffers for parity re-encoding if needed. A
+    // chunk rebuilt just above comes from its decode, not from a re-read
+    // of the new slot: that read costs an IO and can fail (transiently, or
+    // on a latent error the rebuild write itself took), failing the whole
+    // repair although the bytes are in hand.
     auto read_or_decoded = [&](uint32_t i) -> Result<PayloadBuffer> {
-      if (stripe.data[i].lost) {
-        auto d = decoded.find(i);
-        REO_CHECK(d != decoded.end());
-        return d->second;
-      }
+      if (auto d = decoded.find(i); d != decoded.end()) return d->second;
       const auto& c = stripe.data[i];
       auto buf = array_.device(c.device).ReadSlot(c.slot);
       if (!buf.ok()) return buf.status();

@@ -332,6 +332,14 @@ Status StripeManager::DecodeStripe(
 
   // Reads a survivor; latent corruption marks the chunk lost (read-repair
   // semantics) and reports kCorrupted so the caller tries the next one.
+  // A transient kIoError leaves the chunk in place; if that leaves too few
+  // survivors, the decode fails with kIoError too, so callers retry it.
+  bool transient = false;
+  auto short_of_survivors = [&](const char* why) -> Status {
+    span.set_flags(kSpanError);
+    if (transient) return {ErrorCode::kIoError, "survivor read failed"};
+    return {ErrorCode::kUnrecoverable, why};
+  };
   auto read_survivor =
       [&](StripeChunk& c) -> Result<std::span<const uint8_t>> {
     auto buf = array_.device(c.device).ReadSlot(c.slot);
@@ -343,6 +351,8 @@ Status StripeManager::DecodeStripe(
       if (buf.status().code() == ErrorCode::kCorrupted) {
         MarkChunkLost(c);
         ++io.corrupt_chunks;
+      } else if (buf.status().code() == ErrorCode::kIoError) {
+        transient = true;
       }
       return buf.status();
     }
@@ -364,8 +374,7 @@ Status StripeManager::DecodeStripe(
         return Status::Ok();
       }
     }
-    span.set_flags(kSpanError);
-    return {ErrorCode::kUnrecoverable, "all replicas lost"};
+    return short_of_survivors("all replicas lost");
   }
 
   size_t k = stripe.redundancy.size();
@@ -385,10 +394,7 @@ Status StripeManager::DecodeStripe(
     auto buf = read_survivor(c);
     if (buf.ok()) present.emplace_back(m + j, *buf);
   }
-  if (present.size() < m) {
-    span.set_flags(kSpanError);
-    return {ErrorCode::kUnrecoverable, "not enough survivors"};
-  }
+  if (present.size() < m) return short_of_survivors("not enough survivors");
   std::vector<size_t> missing_data;
   for (size_t i = 0; i < m; ++i) {
     if (stripe.data[i].lost) missing_data.push_back(i);

@@ -4,28 +4,47 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 namespace reo {
 
 /// Computes CRC32C over `data`, continuing from `seed` (0 for a fresh CRC).
+/// Dispatches at runtime to the widest kernel this CPU has for the input
+/// size (see Crc32cKernel); every kernel computes the same value.
 uint32_t Crc32c(std::span<const uint8_t> data, uint32_t seed = 0);
 
-/// Table-driven portable path, always available. Exposed so the differential
-/// test can pin the SSE4.2 hardware path against it; callers use Crc32c.
+/// Table-driven portable path, always available. Exposed as the reference
+/// the differential tests pin every other kernel against.
 uint32_t Crc32cPortable(std::span<const uint8_t> data, uint32_t seed = 0);
 
-/// True when Crc32c dispatches to the SSE4.2 instruction on this CPU.
-bool Crc32cUsesHardware();
+/// The CRC32C kernels, narrowest first. Crc32c takes the widest one the
+/// CPU has whose minimum size the input reaches. GB/s are `bench/micro_crc`
+/// on one 64 KiB buffer, one core of a 4-vCPU AVX-512 Xeon VM.
+enum class Crc32cKernel : uint8_t {
+  /// 256-entry table, one byte per step (0.35 GB/s). Every CPU.
+  kPortable,
+  /// SSE4.2 `crc32q`, one dependent stream (7.4 GB/s). Small inputs and
+  /// the tails the wider kernels leave.
+  kSse42,
+  /// Three `crc32q` streams over adjacent lanes of each 3 KiB block,
+  /// recombined by PCLMULQDQ (20.6 GB/s). The `crc32q` unit's one
+  /// instruction per cycle caps it at 8 B/cycle.
+  kClmul3Lane,
+  /// Four 512-bit accumulators folded across 256-byte blocks with
+  /// VPCLMULQDQ (61 GB/s; at 256 B 10.8 GB/s against SSE4.2's 6.1).
+  /// Needs AVX-512F/VL and VPCLMULQDQ.
+  kAvx512Fold,
+};
 
-/// True when bulk payloads additionally take the PCLMULQDQ-folded path:
-/// three independent CRC32 instruction streams per block, recombined with
-/// one carry-less multiply — ~3x the single-stream instruction throughput
-/// on large buffers. Small inputs always use the plain SSE4.2 loop.
-bool Crc32cUsesClmul();
+/// CRC32C of `data` on exactly `kernel` (any length: a kernel hands what is
+/// below its block size to the SSE4.2 loop), or nullopt when this CPU
+/// lacks it. The test and micro-benchmark seam; callers use Crc32c.
+std::optional<uint32_t> Crc32cWith(Crc32cKernel kernel,
+                                   std::span<const uint8_t> data,
+                                   uint32_t seed = 0);
 
-/// Minimum input size (bytes) for the folded path (one 3-lane block);
-/// exposed so the differential test straddles the dispatch boundary.
+/// Minimum input size (bytes) for kClmul3Lane (one 3-lane block).
 inline constexpr size_t kCrc32cFoldThreshold = 3 * 1024;
 
 }  // namespace reo

@@ -130,6 +130,30 @@ Result<DataPlaneIo> ReoDataPlane::WriteObject(ObjectId id,
   return WriteToFlash(id, payload, logical_bytes, class_id, now);
 }
 
+template <typename Op>
+auto ReoDataPlane::WithRetry(ObjectId id, SimTime now, const char* what, Op op)
+    -> decltype(op(now)) {
+  SimTime t = now;
+  auto result = op(t);
+  for (uint32_t attempt = 1; !result.ok() && IsRetryable(result.status()) &&
+                             attempt < retry_.max_attempts;
+       ++attempt) {
+    t += RetryBackoff(retry_, attempt - 1, retry_rng_);
+    Inc(tel_retry_attempts_);
+    result = op(t);
+    if (result.ok()) Inc(tel_retry_successes_);
+  }
+  if (!result.ok() && IsRetryable(result.status())) {
+    Inc(tel_retry_exhausted_);
+    Emit(ev_, t, EventSeverity::kWarn, "retry.exhausted",
+         std::string("transient ") + what +
+             " errors exceeded the retry budget",
+         {{"object", std::to_string(id.oid)},
+          {"attempts", std::to_string(retry_.max_attempts)}});
+  }
+  return result;
+}
+
 Result<DataPlaneIo> ReoDataPlane::WriteToFlash(ObjectId id,
                                                std::span<const uint8_t> payload,
                                                uint64_t logical_bytes,
@@ -143,24 +167,10 @@ Result<DataPlaneIo> ReoDataPlane::WriteToFlash(ObjectId id,
   }
   // PutObject rolls back fully on failure, so retrying a transient write
   // error is safe: nothing of the failed attempt remains.
-  SimTime t = now;
-  auto io = stripes_.PutObject(id, payload, logical_bytes, level, t);
-  for (uint32_t attempt = 1;
-       !io.ok() && IsRetryable(io.status()) && attempt < retry_.max_attempts;
-       ++attempt) {
-    t += RetryBackoff(retry_, attempt - 1, retry_rng_);
-    Inc(tel_retry_attempts_);
-    io = stripes_.PutObject(id, payload, logical_bytes, level, t);
-    if (io.ok()) Inc(tel_retry_successes_);
-  }
+  auto io = WithRetry(id, now, "write", [&](SimTime t) {
+    return stripes_.PutObject(id, payload, logical_bytes, level, t);
+  });
   if (!io.ok()) {
-    if (IsRetryable(io.status())) {
-      Inc(tel_retry_exhausted_);
-      Emit(ev_, t, EventSeverity::kWarn, "retry.exhausted",
-           "transient write errors exceeded the retry budget",
-           {{"object", std::to_string(id.oid)},
-            {"attempts", std::to_string(retry_.max_attempts)}});
-    }
     span.set_flags(kSpanError);
     return io.status();
   }
@@ -197,24 +207,9 @@ Result<DataPlaneIo> ReoDataPlane::ReadObject(ObjectId id, SimTime now) {
   TraceSpan span(trace_, TraceOp::kDataRead, now, id.oid);
   // Bounded retry for transient device errors. Chunks that failed with
   // kIoError were NOT marked lost, so the retry re-reads the same slots.
-  SimTime t = now;
-  auto io = stripes_.GetObject(id, t);
-  for (uint32_t attempt = 1;
-       !io.ok() && IsRetryable(io.status()) && attempt < retry_.max_attempts;
-       ++attempt) {
-    t += RetryBackoff(retry_, attempt - 1, retry_rng_);
-    Inc(tel_retry_attempts_);
-    io = stripes_.GetObject(id, t);
-    if (io.ok()) Inc(tel_retry_successes_);
-  }
+  auto io = WithRetry(id, now, "read",
+                      [&](SimTime t) { return stripes_.GetObject(id, t); });
   if (!io.ok()) {
-    if (IsRetryable(io.status())) {
-      Inc(tel_retry_exhausted_);
-      Emit(ev_, t, EventSeverity::kWarn, "retry.exhausted",
-           "transient read errors exceeded the retry budget",
-           {{"object", std::to_string(id.oid)},
-            {"attempts", std::to_string(retry_.max_attempts)}});
-    }
     span.set_flags(kSpanError);
     return io.status();
   }
@@ -222,8 +217,12 @@ Result<DataPlaneIo> ReoDataPlane::ReadObject(ObjectId id, SimTime now) {
     // Latent sector errors surfaced during this read; the degraded-read
     // machinery already decoded good data from the surviving redundancy.
     // Repair in place now — rewrite the bad slots — so the next read (and
-    // the redundancy margin) is whole again.
-    auto rb = stripes_.RebuildObject(id, io->complete);
+    // the redundancy margin) is whole again. The repair reads survivors
+    // too, so it gets the same transient-error budget; a retry redoes only
+    // the chunks still marked lost.
+    auto rb = WithRetry(id, io->complete, "repair", [&](SimTime t) {
+      return stripes_.RebuildObject(id, t);
+    });
     if (rb.ok()) {
       io->complete = std::max(io->complete, rb->complete);
       io->chunk_reads += rb->chunk_reads;

@@ -103,6 +103,13 @@ class ReoDataPlane final : public DataPlane {
   Result<DataPlaneIo> WriteToFlash(ObjectId id, std::span<const uint8_t> payload,
                                    uint64_t logical_bytes, uint8_t class_id,
                                    SimTime now);
+  /// Runs `op(t)` from t = `now` until it succeeds, fails with a
+  /// non-retryable status, or spends the retry budget, backing off
+  /// between tries. Counts retry.*; an exhausted budget also emits
+  /// retry.exhausted for transient `what` ("read", "write", "repair").
+  template <typename Op>
+  auto WithRetry(ObjectId id, SimTime now, const char* what, Op op)
+      -> decltype(op(now));
   /// Whether this write should be held in DRAM instead of hitting flash.
   bool ShouldStage(uint64_t stored_bytes, uint8_t class_id) const;
 

@@ -41,7 +41,8 @@ Connection::Connection(int fd, uint64_t id, EventLoop& loop,
     loop_.AddTimer(0, [this] { host_.OnClose(*this, close_reason_); });
     return;
   }
-  ArmIdleTimer();
+  last_frame_ms_ = loop_.now_ms();
+  if (config_.idle_timeout_ms != 0) ArmIdleTimer(config_.idle_timeout_ms);
 }
 
 Connection::~Connection() {
@@ -50,12 +51,14 @@ Connection::~Connection() {
   close(fd_);
 }
 
-void Connection::ArmIdleTimer() {
-  if (idle_timer_) loop_.CancelTimer(idle_timer_);
-  idle_timer_ = 0;
-  if (config_.idle_timeout_ms == 0) return;
-  idle_timer_ = loop_.AddTimer(config_.idle_timeout_ms, [this] {
+void Connection::ArmIdleTimer(uint64_t delay_ms) {
+  idle_timer_ = loop_.AddTimer(delay_ms, [this] {
     idle_timer_ = 0;
+    uint64_t idle_ms = loop_.now_ms() - last_frame_ms_;
+    if (idle_ms < config_.idle_timeout_ms) {
+      ArmIdleTimer(config_.idle_timeout_ms - idle_ms);
+      return;
+    }
     Fail("idle timeout");
     FinishEvent();
   });
@@ -150,7 +153,7 @@ bool Connection::ProcessFrames() {
       FrameStatus st = decoder_.NextView(&payload);
       if (st == FrameStatus::kFrame) {
         ++frames_handled_;
-        ArmIdleTimer();
+        last_frame_ms_ = loop_.now_ms();
         dispatch_token_ = next_token_++;
         FrameResult r = host_.OnFrame(*this, payload);
         if (r.deferred) {

@@ -144,7 +144,10 @@ class Connection {
   /// Writes pending bytes until EAGAIN; returns false on fatal error.
   bool DoWrite();
   void UpdateInterest();
-  void ArmIdleTimer();
+  /// Schedules the idle check `delay_ms` out. A frame only stamps
+  /// last_frame_ms_; the check re-arms for what is left of the timeout,
+  /// or closes the connection once a whole timeout passed without one.
+  void ArmIdleTimer(uint64_t delay_ms);
   /// Records the close reason (first wins) and schedules teardown.
   void Fail(std::string_view reason);
   /// Final step of every event: reports close to the host (which deletes
@@ -166,6 +169,7 @@ class Connection {
   std::string close_reason_;
   uint64_t frames_handled_ = 0;
   TimerId idle_timer_ = 0;
+  uint64_t last_frame_ms_ = 0;  ///< loop clock at the last complete frame
 
   /// In-order response slots. Only frames dispatched while responses are
   /// outstanding (or themselves deferred) occupy a slot; the common

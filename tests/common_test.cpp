@@ -7,7 +7,9 @@
 #include <filesystem>
 #include <limits>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/buffer.h"
 #include "common/crc32c.h"
@@ -21,6 +23,20 @@
 #include "common/zipf.h"
 
 namespace reo {
+
+// Names the kernel in test names and gtest's parameter printouts.
+const char* KernelName(Crc32cKernel kernel) {
+  switch (kernel) {
+    case Crc32cKernel::kPortable: return "portable";
+    case Crc32cKernel::kSse42: return "sse42";
+    case Crc32cKernel::kClmul3Lane: return "clmul3lane";
+    case Crc32cKernel::kAvx512Fold: return "avx512fold";
+  }
+  return "unknown";
+}
+
+void PrintTo(Crc32cKernel kernel, std::ostream* os) { *os << KernelName(kernel); }
+
 namespace {
 
 // --- Status / Result -------------------------------------------------------
@@ -153,49 +169,123 @@ TEST(Crc32cTest, SeededContinuationMatchesWholeBuffer) {
   }
 }
 
-// Differential for the PCLMULQDQ-folded bulk path: buffer sizes straddling
-// the fold threshold (the dispatch boundary between the plain SSE4.2 loop
-// and the 3-lane folded kernel), each at unaligned starting offsets, must
-// agree with the portable table. Runs regardless of CPU support — on
-// machines without PCLMULQDQ it degenerates to re-checking the SSE4.2 or
-// portable path, which keeps the test meaningful everywhere.
-TEST(Crc32cTest, ClmulFoldedPathMatchesPortableAcrossThreshold) {
-  Pcg32 rng(13);
-  std::vector<uint8_t> backing(4 * kCrc32cFoldThreshold + 64);
-  for (auto& b : backing) b = static_cast<uint8_t>(rng.Next());
-  const size_t lens[] = {
-      kCrc32cFoldThreshold - 1,      kCrc32cFoldThreshold,
-      kCrc32cFoldThreshold + 1,      kCrc32cFoldThreshold + 17,
-      2 * kCrc32cFoldThreshold - 5,  3 * kCrc32cFoldThreshold,
-      4 * kCrc32cFoldThreshold + 11,
-  };
-  for (size_t off : {size_t{0}, size_t{1}, size_t{3}, size_t{7}, size_t{9}}) {
-    for (size_t len : lens) {
-      ASSERT_LE(off + len, backing.size());
-      std::span<const uint8_t> data(backing.data() + off, len);
+// Every length that crosses a kernel's block or dispatch size: the 64-byte
+// fold, the 256-byte AVX-512 block, the 3 KiB 3-lane block, and a few
+// multiples with ragged tails.
+const size_t kTierLengths[] = {
+    63,   64,   65,   127,  128,   255,   256,    257,   319,
+    320,  321,  511,  512,  513,   767,   1023,   1024,  1025,
+    3071, 3072, 3073, 3089, 3327,  6139,  9216,   12299, 65536 + 5,
+};
+
+/// `len` bytes at `off` within one seeded random buffer long enough for
+/// every length above at every offset 0..15.
+std::span<const uint8_t> RandomBytes(size_t off, size_t len) {
+  static const std::vector<uint8_t> backing = [] {
+    Pcg32 rng(13);
+    std::vector<uint8_t> b(65536 + 64);
+    for (auto& byte : b) byte = static_cast<uint8_t>(rng.Next());
+    return b;
+  }();
+  return {backing.data() + off, len};
+}
+
+TEST(Crc32cTest, DispatchedMatchesPortableAcrossTiers) {
+  for (size_t off = 0; off < 16; ++off) {
+    for (size_t len : kTierLengths) {
+      auto data = RandomBytes(off, len);
       ASSERT_EQ(Crc32c(data), Crc32cPortable(data))
-          << "off=" << off << " len=" << len
-          << " clmul=" << Crc32cUsesClmul();
+          << "off=" << off << " len=" << len;
+    }
+  }
+  // Seeded continuation where the two halves dispatch to different kernels.
+  auto buf = RandomBytes(1, 3 * kCrc32cFoldThreshold);
+  uint32_t whole = Crc32cPortable(buf);
+  for (size_t split : kTierLengths) {
+    if (split > buf.size()) continue;
+    EXPECT_EQ(Crc32c(buf.subspan(split), Crc32c(buf.first(split))), whole)
+        << "split=" << split;
+  }
+}
+
+// Each kernel pinned directly, since Crc32c sends a given size to only
+// one of them on any one CPU. Skips (naming the missing feature) on a CPU
+// without the kernel.
+class Crc32cKernelTest : public ::testing::TestWithParam<Crc32cKernel> {
+ protected:
+  void SetUp() override {
+    if (!Crc32cWith(GetParam(), {}).has_value()) {
+      GTEST_SKIP() << "CPU lacks " << Features(GetParam());
+    }
+  }
+
+  static const char* Features(Crc32cKernel kernel) {
+    switch (kernel) {
+      case Crc32cKernel::kSse42: return "SSE4.2";
+      case Crc32cKernel::kClmul3Lane: return "SSE4.2 + PCLMULQDQ";
+      case Crc32cKernel::kAvx512Fold:
+        return "AVX-512F + AVX-512VL + VPCLMULQDQ";
+      default: return "nothing";
+    }
+  }
+
+  uint32_t Crc(std::span<const uint8_t> data, uint32_t seed = 0) {
+    return *Crc32cWith(GetParam(), data, seed);
+  }
+};
+
+TEST_P(Crc32cKernelTest, MatchesPortableUpTo1KiB) {
+  for (size_t off = 0; off < 16; ++off) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      auto data = RandomBytes(off, len);
+      ASSERT_EQ(Crc(data), Crc32cPortable(data))
+          << "off=" << off << " len=" << len;
     }
   }
 }
 
-// Seeded continuation across the fold threshold: splitting a large buffer
-// so one side takes the folded path and the other the small-input path
-// must still compose to the whole-buffer CRC.
-TEST(Crc32cTest, ClmulSeededContinuationAcrossThreshold) {
-  Pcg32 rng(14);
-  std::vector<uint8_t> buf(3 * kCrc32cFoldThreshold);
-  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
-  uint32_t whole = Crc32cPortable(buf);
-  EXPECT_EQ(Crc32c(buf), whole);
-  for (size_t split : {size_t{1}, size_t{64}, kCrc32cFoldThreshold - 1,
-                       kCrc32cFoldThreshold, kCrc32cFoldThreshold + 1,
-                       buf.size() - 7}) {
-    std::span<const uint8_t> head(buf.data(), split);
-    std::span<const uint8_t> tail(buf.data() + split, buf.size() - split);
-    EXPECT_EQ(Crc32c(tail, Crc32c(head)), whole) << "split=" << split;
+TEST_P(Crc32cKernelTest, MatchesPortableAcrossTiers) {
+  for (size_t off = 0; off < 16; ++off) {
+    for (size_t len : kTierLengths) {
+      auto data = RandomBytes(off, len);
+      ASSERT_EQ(Crc(data), Crc32cPortable(data))
+          << "off=" << off << " len=" << len;
+    }
   }
+}
+
+TEST_P(Crc32cKernelTest, SeededContinuationAcrossTiers) {
+  // Both halves take this kernel, each on whichever side of a tier
+  // boundary the split leaves it; a nonzero seed enters the first block.
+  const size_t n = 4 * kCrc32cFoldThreshold + 11;
+  auto buf = RandomBytes(3, n);
+  for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+    uint32_t whole = Crc32cPortable(buf, seed);
+    ASSERT_EQ(Crc(buf, seed), whole) << "seed=" << seed;
+    for (size_t split : kTierLengths) {
+      if (split > n) continue;
+      for (size_t at : {split, n - split}) {
+        auto head = buf.first(at);
+        auto tail = buf.subspan(at);
+        EXPECT_EQ(Crc(tail, Crc(head, seed)), whole)
+            << "seed=" << seed << " split=" << at;
+        EXPECT_EQ(Crc(tail, Crc32cPortable(head, seed)), whole)
+            << "seed=" << seed << " split=" << at;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32cKernelTest,
+    ::testing::Values(Crc32cKernel::kSse42, Crc32cKernel::kClmul3Lane,
+                      Crc32cKernel::kAvx512Fold),
+    [](const auto& info) { return std::string(KernelName(info.param)); });
+
+TEST(Crc32cTest, PortableKernelIsAlwaysAvailable) {
+  auto data = RandomBytes(5, 300);
+  EXPECT_EQ(Crc32cWith(Crc32cKernel::kPortable, data, 7),
+            Crc32cPortable(data, 7));
 }
 
 // --- Pcg32 ------------------------------------------------------------------

@@ -1,14 +1,16 @@
 // ReoDataPlane tests: class -> level mapping per policy mode, the
-// redundancy-reserve cap (sense 0x67 semantics), health reporting, and
-// space queries.
+// redundancy-reserve cap (sense 0x67 semantics), health reporting, space
+// queries, and the transient-error budget of the in-place repair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "backend/backend_store.h"
 #include "core/data_plane.h"
+#include "fault/fault_injector.h"
 #include "node_test_util.h"
 
 namespace reo {
@@ -189,6 +191,115 @@ TEST(ReoDataPlaneTest, ReserveScalesWithCapacityLimit) {
                               .reo_reserve_fraction = 0.2}})
                   .value();
   EXPECT_EQ(node->plane().reserve_bytes(), 20 * kChunk);
+}
+
+// --- In-place repair after a degraded read -------------------------------------
+
+/// A class-2 (2-parity) one-chunk object whose data chunk and first parity
+/// chunk were written latent-corrupt, so a read decodes from the second
+/// parity alone and the repair that follows has exactly one survivor to
+/// read. Slot reads from `transient_from` on, `transient_count` of them,
+/// fail transiently. With `corrupt_rebuilt_data`, the repair's first
+/// write (slot write 3, after data, parity 0, parity 1) is corrupt too.
+struct RepairFixture {
+  RepairFixture(uint64_t transient_from, uint64_t transient_count,
+                bool corrupt_rebuilt_data = false)
+      : node(TestNode(256 * kChunk, kChunk, ProtectionMode::kReo, 0.5)) {
+    auto rule = [](const char* site, uint64_t from, uint64_t to) {
+      return std::string(R"({"site": ")") + site +
+             R"(", "probability": 1.0, "window": [)" + std::to_string(from) +
+             ", " + std::to_string(to) + "]}";
+    };
+    std::string spec = R"({"rules": [)" + rule("flash.latent", 0, 2) + ", " +
+                       rule("flash.read_transient", transient_from,
+                            transient_from + transient_count);
+    if (corrupt_rebuilt_data) spec += ", " + rule("flash.latent", 3, 4);
+    spec += "]}";
+    injector = std::make_unique<FaultInjector>(ParseFaultSpec(spec).value());
+    node->array().AttachFaults(injector.get(), nullptr);
+    plane->ConfigureRetry(RetryPolicy{}, /*seed=*/7);
+    payload = BackendStore::SynthesizePayload(
+        Oid(1), 0, node->stripes().PhysicalSize(kChunk));
+    REO_CHECK(plane->WriteObject(Oid(1), payload, kChunk, 2, 0).ok());
+  }
+
+  double Metric(const std::string& name) {
+    MetricSnapshot snapshot = node->registry().Snapshot();
+    const auto* e = snapshot.Find(name);
+    return e != nullptr ? e->value : 0.0;
+  }
+
+  std::unique_ptr<NodeStack> node;
+  ReoDataPlane* plane = &node->plane();
+  std::unique_ptr<FaultInjector> injector;
+  std::vector<uint8_t> payload;
+};
+
+/// Slot reads the degraded read itself makes before the repair starts: a
+/// transient window starting here hits the repair's first read.
+uint64_t ReadsBeforeRepair() {
+  RepairFixture probe(/*transient_from=*/1000000, 1);  // never reached
+  auto io = probe.node->stripes().GetObject(Oid(1), 0);
+  REO_CHECK(io.ok() && io->corrupt_chunks == 2);
+  return probe.injector->ops(FaultSite::kFlashReadTransient);
+}
+
+TEST(DataPlaneRepairTest, TransientReadDuringRepairIsRetried) {
+  RepairFixture fx(ReadsBeforeRepair(), 1);
+  auto io = fx.plane->ReadObject(Oid(1), 0);
+  ASSERT_TRUE(io.ok()) << io.status().to_string();
+  EXPECT_EQ(io->payload, fx.payload);
+  EXPECT_EQ(fx.injector->injected(FaultSite::kFlashReadTransient), 1u);
+  EXPECT_EQ(fx.Metric("fault.crc_repairs"), 2.0);
+  EXPECT_EQ(fx.Metric("fault.crc_unrepaired"), 0.0);
+  EXPECT_EQ(fx.Metric("retry.successes"), 1.0);
+
+  // Repaired in place: a plain array read sees every chunk whole.
+  auto clean = fx.node->stripes().GetObject(Oid(1), 0);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(clean->corrupt_chunks, 0u);
+  EXPECT_FALSE(clean->degraded);
+}
+
+TEST(DataPlaneRepairTest, RepairReencodesFromTheDecodeNotTheNewSlot) {
+  // The rebuilt data chunk is written latent-corrupt. Parity 0 is
+  // re-encoded from the decoded bytes, so the repair does not trip over it;
+  // the next read finds the bad data chunk and repairs it from parity.
+  RepairFixture fx(/*transient_from=*/1000000, 1,
+                   /*corrupt_rebuilt_data=*/true);
+  auto io = fx.plane->ReadObject(Oid(1), 0);
+  ASSERT_TRUE(io.ok()) << io.status().to_string();
+  EXPECT_EQ(io->payload, fx.payload);
+  EXPECT_EQ(fx.injector->injected(FaultSite::kFlashLatent), 3u);
+  EXPECT_EQ(fx.Metric("fault.crc_repairs"), 2.0);
+  EXPECT_EQ(fx.Metric("fault.crc_unrepaired"), 0.0);
+
+  auto again = fx.plane->ReadObject(Oid(1), 0);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->payload, fx.payload);
+  EXPECT_EQ(fx.Metric("fault.crc_repairs"), 3.0);
+  auto clean = fx.node->stripes().GetObject(Oid(1), 0);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_EQ(clean->corrupt_chunks, 0u);
+}
+
+TEST(DataPlaneRepairTest, RepairPastTheRetryBudgetCountsUnrepaired) {
+  const uint32_t budget = RetryPolicy{}.max_attempts;
+  RepairFixture fx(ReadsBeforeRepair(), budget);
+  auto io = fx.plane->ReadObject(Oid(1), 0);
+  // The read already decoded good data; only the repair gives up.
+  ASSERT_TRUE(io.ok()) << io.status().to_string();
+  EXPECT_EQ(io->payload, fx.payload);
+  EXPECT_EQ(fx.injector->injected(FaultSite::kFlashReadTransient), budget);
+  EXPECT_EQ(fx.Metric("fault.crc_repairs"), 0.0);
+  EXPECT_EQ(fx.Metric("fault.crc_unrepaired"), 1.0);
+  EXPECT_EQ(fx.Metric("retry.exhausted"), 1.0);
+
+  // The chunks stay marked lost for the rebuild paths; reads still decode.
+  auto again = fx.plane->ReadObject(Oid(1), 0);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->payload, fx.payload);
+  EXPECT_TRUE(again->degraded);
 }
 
 }  // namespace

@@ -93,15 +93,15 @@ TEST(Gf256Test, PowMatchesRepeatedMul) {
 
 TEST(Gf256Test, MulAccMatchesScalar) {
   Pcg32 rng(5);
-  std::vector<uint8_t> dst(257), src(257), expect(257);
+  std::vector<uint8_t> dst(257), src(257);
   for (size_t i = 0; i < dst.size(); ++i) {
     dst[i] = static_cast<uint8_t>(rng.Next());
     src[i] = static_cast<uint8_t>(rng.Next());
   }
   for (uint8_t c : {0, 1, 2, 37, 255}) {
-    expect = dst;
+    std::vector<uint8_t> expect(dst.size());
     for (size_t i = 0; i < dst.size(); ++i) {
-      expect[i] = gf256::Add(expect[i], gf256::Mul(c, src[i]));
+      expect[i] = gf256::Add(dst[i], gf256::Mul(c, src[i]));
     }
     auto out = dst;
     gf256::MulAcc(out, src, c);
@@ -366,8 +366,10 @@ INSTANTIATE_TEST_SUITE_P(
         RsGeometry{8, 4, RsConstruction::kCauchy},
         RsGeometry{10, 2, RsConstruction::kCauchy}),
     [](const auto& info) {
-      std::string name = "m" + std::to_string(info.param.m) + "k" +
-                         std::to_string(info.param.k);
+      std::string name = "m";
+      name += std::to_string(info.param.m);
+      name += "k";
+      name += std::to_string(info.param.k);
       if (info.param.construction == RsConstruction::kCauchy) name += "cauchy";
       return name;
     });

@@ -490,6 +490,29 @@ TEST_F(ServerTest, IdleConnectionsAreReaped) {
   EXPECT_EQ(server_->stats().closed, 1u);
 }
 
+TEST_F(ServerTest, ActiveConnectionOutlivesTheIdleTimeout) {
+  // The idle check fires once per timeout and re-arms from the last frame,
+  // so a connection that talks every ~timeout/3 is never reaped, however
+  // many timeouts it lives through.
+  constexpr auto kIdle = std::chrono::milliseconds(150);
+  ShardedServerConfig cfg;
+  cfg.idle_timeout_ms = kIdle.count();
+  StartServer(cfg);
+  SocketInitiator client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  auto until = std::chrono::steady_clock::now() + 4 * kIdle;
+  while (std::chrono::steady_clock::now() < until) {
+    ASSERT_TRUE(client.Roundtrip(FormatCmd()).ok());
+    std::this_thread::sleep_for(kIdle / 3);
+  }
+  EXPECT_EQ(server_->stats().accepted, 1u);
+  EXPECT_EQ(server_->stats().closed, 0u);
+  // Then silence: one timeout later the server closes it.
+  EXPECT_FALSE(client.Receive().ok());
+  DrainAndJoin();
+  EXPECT_EQ(server_->stats().closed, 1u);
+}
+
 // --- Descriptor exhaustion ----------------------------------------------------
 
 /// Child-process body: a one-target server under RLIMIT_NOFILE =

@@ -91,6 +91,10 @@ void* operator new[](std::size_t size, const std::nothrow_t& nt) noexcept {
   return ::operator new(size, nt);
 }
 
+// GCC 12 sees the inlined free() below meet a pointer from operator new
+// and calls the pair mismatched; both replacements use malloc/free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -99,6 +103,7 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
+#pragma GCC diagnostic pop
 
 using namespace reo;
 
